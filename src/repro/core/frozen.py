@@ -37,11 +37,15 @@ from __future__ import annotations
 import struct
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.node import Node
 from repro.core.phtree import PHTree
-from repro.core.serialize import NoneValueCodec
+from repro.core.serialize import (
+    _LEN_BITS,
+    NoneValueCodec,
+    emit_node,
+    pack_bits,
+)
 from repro.core.specialize import get_spec
-from repro.encoding.bitbuffer import BitBuffer, BitReader
+from repro.encoding.bitbuffer import BitReader
 from repro.encoding.interleave import deinterleave as _deinterleave
 from repro.encoding.interleave import interleave as _interleave
 from repro.learned.index import (
@@ -57,7 +61,6 @@ from repro.obs import runtime as _rt
 __all__ = ["FrozenPHTree", "freeze"]
 
 _MAGIC = b"PHF1"
-_LEN_BITS = 32
 
 #: Learned window queries scan the z-code array directly; a predicted
 #: span longer than this falls back to the exact pruned tree walk.  The
@@ -94,25 +97,23 @@ def freeze(
             f"the frozen format stores post_len in 8 bits; "
             f"width {tree.width} > 256 is not representable"
         )
+    data, nbits = 0, 0
     arena = getattr(tree, "_arena", None)
     if arena is not None:
         if tree._root_off:
             data, nbits = _freeze_subtree_arena(
                 arena, tree._root_off, tree.width, tree.dims, value_codec
             )
-            buf = BitBuffer(data, nbits)
-        else:
-            buf = BitBuffer()
         if _rt.enabled:
             _probes.freeze_arena_fast.inc()
-    else:
-        buf = BitBuffer()
-        if tree.root is not None:
-            _write_node(buf, tree.root, tree.width, tree.dims, value_codec)
+    elif tree.root is not None:
+        data, nbits = emit_node(
+            tree.root, tree.width, tree.dims, value_codec, frozen=True
+        )
     header = _MAGIC + struct.pack(
-        ">HHQQ", tree.dims, tree.width, len(tree), buf.bit_length
+        ">HHQQ", tree.dims, tree.width, len(tree), nbits
     )
-    blob = header + buf.to_bytes()
+    blob = header + pack_bits(data, nbits)
     if not learned or len(tree) == 0:
         return blob
     frozen = FrozenPHTree(blob, value_codec, learned=False)
@@ -137,41 +138,6 @@ def freeze(
     return blob + b"\x00" * pad + model.to_trailer()
 
 
-def _write_node(
-    buf: BitBuffer,
-    node: Node,
-    parent_post_len: int,
-    k: int,
-    value_codec: Any,
-) -> None:
-    buf.append(node.post_len, 8)
-    infix_len = parent_post_len - 1 - node.post_len
-    if infix_len:
-        shift = node.post_len + 1
-        mask = (1 << infix_len) - 1
-        for value in node.prefix:
-            buf.append((value >> shift) & mask, infix_len)
-    buf.append(node.num_slots(), k + 1)
-    post_bits = node.post_len
-    post_mask = (1 << post_bits) - 1
-    for address, slot in node.items():
-        buf.append(address, k)
-        if isinstance(slot, Node):
-            buf.append(1, 1)
-            # Reserve the length field, write the child, patch the field.
-            length_pos = buf.bit_length
-            buf.append(0, _LEN_BITS)
-            start = buf.bit_length
-            _write_node(buf, slot, node.post_len, k, value_codec)
-            buf.overwrite(length_pos, buf.bit_length - start, _LEN_BITS)
-        else:
-            buf.append(0, 1)
-            if post_bits:
-                for value in slot.key:
-                    buf.append(value & post_mask, post_bits)
-            buf.append(value_codec.encode(slot.value), value_codec.bits)
-
-
 def _freeze_subtree_arena(
     arena: Any,
     off: int,
@@ -179,16 +145,15 @@ def _freeze_subtree_arena(
     k: int,
     value_codec: Any,
 ) -> Tuple[int, int]:
-    """The slab twin of :func:`_write_node`: build the frozen body of
-    the node record at ``off`` (and its subtree) straight from the
-    arena words, returning it as one ``(data, bit_length)`` integer.
+    """The slab twin of :func:`repro.core.serialize.emit_node` with
+    ``frozen=True``: build the frozen body of the node record at ``off``
+    (and its subtree) straight from the arena words, returning it as one
+    ``(data, bit_length)`` integer.
 
     Children return their finished bodies bottom-up, so the 32-bit body
-    length is a plain field written when the child comes back -- no
-    reserve-and-patch pass -- and every bit is shifted only O(depth)
-    times as subtree integers combine, instead of the O(stream) cost a
-    ``BitBuffer.append`` per field would pay.  The bit stream is
-    identical to the object walk's.
+    length is a plain field written when the child comes back and every
+    bit is shifted only O(depth) times as subtree integers combine.  The
+    bit stream is identical to the object walk's.
     """
     words = arena.words
     entries = arena.entries

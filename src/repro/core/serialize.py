@@ -17,6 +17,11 @@ structure is determined only by its key set, two trees holding the same
 keys serialise to identical bytes regardless of their construction history
 -- the test suite uses this as the order-independence oracle.
 
+Both directions are linear in the stream: :func:`emit_node`, the one
+writer of ``PHT1`` and object-layout ``PHF1``, builds each node bottom-up
+as an ``(int, bit_length)`` pair, and :func:`deserialize_tree` reads
+through :class:`~repro.encoding.bitbuffer.BitReader`, O(field) per read.
+
 Three magic numbers share this byte-stream family:
 
 - ``PHT1`` (this module): mutable-tree round-trip via
@@ -45,7 +50,7 @@ from typing import Any, Tuple
 from repro.core.hypercube import HCContainer, LHCContainer
 from repro.core.node import Entry, Node
 from repro.core.phtree import PHTree
-from repro.encoding.bitbuffer import BitBuffer
+from repro.encoding.bitbuffer import BitReader
 
 __all__ = [
     "NoneValueCodec",
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 _MAGIC = b"PHT1"
+_LEN_BITS = 32
 
 
 class NoneValueCodec:
@@ -105,14 +111,11 @@ def serialize_tree(tree: PHTree, value_codec: Any = NoneValueCodec) -> bytes:
             f"the serialised format stores post_len in 8 bits; "
             f"width {w} > 256 is not representable"
         )
-    buf = BitBuffer()
+    data, nbits = 0, 0
     if tree.root is not None:
-        _write_node(buf, tree.root, parent_post_len=w, k=k,
-                    value_codec=value_codec)
-    header = _MAGIC + struct.pack(
-        ">HHQQ", k, w, len(tree), buf.bit_length
-    )
-    return header + buf.to_bytes()
+        data, nbits = emit_node(tree.root, w, k, value_codec, frozen=False)
+    header = _MAGIC + struct.pack(">HHQQ", k, w, len(tree), nbits)
+    return header + pack_bits(data, nbits)
 
 
 def deserialize_tree(
@@ -123,7 +126,8 @@ def deserialize_tree(
     """Rebuild a PH-tree from :func:`serialize_tree` output.
 
     The stored HC/LHC flags are honoured, so the rebuilt tree is
-    byte-identical under re-serialisation.
+    byte-identical under re-serialisation.  A structurally invalid
+    stream raises ``ValueError``.
     """
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError("not a serialised PH-tree (bad magic)")
@@ -132,19 +136,30 @@ def deserialize_tree(
         raise ValueError("truncated PH-tree header")
     k, w, size, bit_length = struct.unpack_from(">HHQQ", data, offset)
     offset += struct.calcsize(">HHQQ")
+    if w > 256:
+        raise ValueError(f"corrupt header: width {w} > 256")
     tree = PHTree(dims=k, width=w, hc_mode=hc_mode)
     if size == 0:
         if bit_length:
             raise ValueError("empty tree with non-empty node stream")
         return tree
-    buf = BitBuffer.from_bytes(data[offset:], bit_length)
-    root, consumed = _read_node(
-        buf, 0, parent_post_len=w, parent_prefix=(0,) * k,
-        parent_address=0, k=k, value_codec=value_codec,
-    )
+    if len(data) - offset < (bit_length + 7) // 8:
+        raise ValueError("truncated PH-tree node stream")
+    reader = BitReader(data[offset:], bit_length)
+    try:
+        root, consumed, entries = _read_node(
+            reader, 0, w, (0,) * k, 0, k, value_codec
+        )
+    except IndexError as exc:
+        raise ValueError(f"corrupt PH-tree node stream: {exc}") from None
     if consumed != bit_length:
         raise ValueError(
             f"trailing bits in node stream: read {consumed} of {bit_length}"
+        )
+    if entries != size or root.post_len != w - 1:
+        raise ValueError(
+            f"corrupt stream: header size {size}, decoded {entries} "
+            f"entries under a root at post_len {root.post_len}"
         )
     if tree.layout == "arena":
         # The arena engine re-records the decoded graph into its slabs
@@ -157,55 +172,90 @@ def deserialize_tree(
     return tree
 
 
-def _write_node(
-    buf: BitBuffer,
+def pack_bits(data: int, nbits: int) -> bytes:
+    """The ``nbits``-bit stream ``data`` as bytes, MSB-first, zero-padded
+    to a byte boundary."""
+    return (data << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+
+
+def emit_node(
     node: Node,
     parent_post_len: int,
     k: int,
     value_codec: Any,
-) -> None:
-    buf.append(node.post_len, 8)
-    infix_len = parent_post_len - 1 - node.post_len
+    frozen: bool,
+) -> Tuple[int, int]:
+    """Encode ``node``'s subtree bottom-up as one ``(data, bit_length)``.
+
+    ``frozen=False`` writes ``PHT1`` (HC/LHC flag bit, sub-nodes bare);
+    ``frozen=True`` writes the ``PHF1`` of :mod:`repro.core.frozen` (no
+    flag bit, each sub-node preceded by its 32-bit body length).  Each
+    bit is shifted O(depth) times as finished subtrees combine.
+    """
+    post_len = node.post_len
+    infix_len = parent_post_len - 1 - post_len
     if infix_len != node.infix_len:
-        raise AssertionError(
-            f"inconsistent infix_len: stored {node.infix_len}, "
-            f"derived {infix_len}"
-        )
+        raise AssertionError(f"inconsistent infix_len {node.infix_len}")
+    acc = post_len
+    bits = 8
     if infix_len:
-        shift = node.post_len + 1
+        shift = post_len + 1
         mask = (1 << infix_len) - 1
         for value in node.prefix:
-            buf.append((value >> shift) & mask, infix_len)
-    buf.append(1 if node.container.is_hc else 0, 1)
-    buf.append(node.num_slots(), k + 1)
-    post_bits = node.post_len
-    post_mask = (1 << post_bits) - 1
+            acc = (acc << infix_len) | ((value >> shift) & mask)
+        bits += infix_len * k
+    if not frozen:
+        acc = (acc << 1) | (1 if node.container.is_hc else 0)
+        bits += 1
+    acc = (acc << (k + 1)) | node.num_slots()
+    bits += k + 1
+    vbits = value_codec.bits
+    encode = value_codec.encode
+    post_mask = (1 << post_len) - 1
+    entry_bits = k + 1 + post_len * k + vbits
     for address, slot in node.items():
-        buf.append(address, k)
         if isinstance(slot, Node):
-            buf.append(1, 1)
-            _write_node(buf, slot, node.post_len, k, value_codec)
+            cdata, cbits = emit_node(slot, post_len, k, value_codec, frozen)
+            # [address: k] [type: 1] ([body length: 32] if frozen) body
+            head = (address << 1) | 1
+            head_bits = k + 1
+            if frozen:
+                if cbits >> _LEN_BITS:
+                    raise ValueError(f"{cbits}-bit sub-node body too long")
+                head = (head << _LEN_BITS) | cbits
+                head_bits += _LEN_BITS
+            acc = (((acc << head_bits) | head) << cbits) | cdata
+            bits += head_bits + cbits
         else:
-            buf.append(0, 1)
-            if post_bits:
+            # [address: k] [type: 0] [postfix: post_len * k] [value]
+            entry = address << 1
+            if post_len:
                 for value in slot.key:
-                    buf.append(value & post_mask, post_bits)
+                    entry = (entry << post_len) | (value & post_mask)
             # Encode unconditionally: zero-bit codecs still validate that
             # the value is representable (silently dropping a value would
             # corrupt the round trip).
-            buf.append(value_codec.encode(slot.value), value_codec.bits)
+            value = encode(slot.value)
+            if value < 0 or value >> vbits:
+                raise ValueError(f"codec value {value} exceeds {vbits} bits")
+            acc = (acc << entry_bits) | (entry << vbits) | value
+            bits += entry_bits
+    return acc, bits
 
 
 def _read_node(
-    buf: BitBuffer,
+    reader: BitReader,
     pos: int,
     parent_post_len: int,
     parent_prefix: Tuple[int, ...],
     parent_address: int,
     k: int,
     value_codec: Any,
-) -> Tuple[Node, int]:
-    post_len = buf.read(pos, 8)
+) -> Tuple[Node, int, int]:
+    """Decode the node at bit ``pos``; returns ``(node, next_pos,
+    entries in its subtree)``."""
+    read = reader.read
+    post_len = read(pos, 8)
     pos += 8
     infix_len = parent_post_len - 1 - post_len
     if infix_len < 0:
@@ -214,58 +264,55 @@ def _read_node(
     # the child occupies in the parent, then the infix bits.  For the root
     # call parent_post_len == w and parent_address == 0, so no spurious
     # bit w is ever set.
-    prefix = []
     shift = post_len + 1
-    for dim in range(k):
-        address_bit = (parent_address >> (k - 1 - dim)) & 1
-        prefix.append(
-            parent_prefix[dim] | (address_bit << parent_post_len)
-        )
-    if infix_len:
-        new_prefix = []
-        mask = (1 << infix_len) - 1
-        for dim in range(k):
-            infix = buf.read(pos, infix_len)
-            pos += infix_len
-            new_prefix.append(prefix[dim] | (infix << shift))
-        prefix = new_prefix
-    node = Node(post_len=post_len, infix_len=infix_len,
-                prefix=tuple(prefix))
-    is_hc = buf.read(pos, 1) == 1
-    pos += 1
-    count = buf.read(pos, k + 1)
-    pos += k + 1
-    container: Any = HCContainer(k) if is_hc else LHCContainer()
-    n_sub = 0
-    n_post = 0
-    post_bits = post_len
+    prefix = [
+        parent_prefix[dim]
+        | (((parent_address >> (k - 1 - dim)) & 1) << parent_post_len)
+        | (read(pos + dim * infix_len, infix_len) << shift)
+        for dim in range(k)
+    ]
+    pos += infix_len * k
+    node = Node(post_len=post_len, infix_len=infix_len, prefix=tuple(prefix))
+    # [repr flag: 1] [slot count: k+1]
+    head = read(pos, k + 2)
+    pos += k + 2
+    count = head & ((2 << k) - 1)
+    if count > 1 << k:
+        raise ValueError(f"corrupt stream: {count} slots in a 2**{k} node")
+    container: Any = HCContainer(k) if head >> (k + 1) else LHCContainer()
+    vbits = value_codec.bits
+    post_mask = (1 << post_len) - 1
+    entries = 0
+    previous = -1
     for _ in range(count):
-        address = buf.read(pos, k)
-        pos += k
-        is_sub = buf.read(pos, 1) == 1
-        pos += 1
-        if is_sub:
-            child, pos = _read_node(
-                buf, pos, post_len, tuple(prefix), address, k, value_codec
+        # [address: k] [type: 1]
+        slot = read(pos, k + 1)
+        pos += k + 1
+        address = slot >> 1
+        if address <= previous:
+            raise ValueError("corrupt stream: unsorted slot addresses")
+        previous = address
+        if slot & 1:
+            child, pos, below = _read_node(
+                reader, pos, post_len, node.prefix, address, k, value_codec
             )
+            if child.num_slots() < 2:
+                raise ValueError("corrupt stream: sub-node with 1 slots")
             container.put(address, child)
-            n_sub += 1
+            node._n_sub += 1
+            entries += below
         else:
-            key = []
-            for dim in range(k):
-                postfix = buf.read(pos, post_bits) if post_bits else 0
-                pos += post_bits
-                address_bit = (address >> (k - 1 - dim)) & 1
-                key.append(
-                    prefix[dim] | (address_bit << post_len) | postfix
-                )
-            value: Any = None
-            if value_codec.bits:
-                value = value_codec.decode(buf.read(pos, value_codec.bits))
-                pos += value_codec.bits
-            container.put(address, Entry(tuple(key), value))
-            n_post += 1
+            postfixes = read(pos, post_len * k)
+            pos += post_len * k
+            key = tuple(
+                prefix[dim]
+                | (((address >> (k - 1 - dim)) & 1) << post_len)
+                | ((postfixes >> ((k - 1 - dim) * post_len)) & post_mask)
+                for dim in range(k)
+            )
+            value = value_codec.decode(read(pos, vbits)) if vbits else None
+            pos += vbits
+            container.put(address, Entry(key, value))
+            node._n_post += 1
     node.container = container
-    node._n_sub = n_sub
-    node._n_post = n_post
-    return node, pos
+    return node, pos, entries + node._n_post

@@ -10,8 +10,12 @@ operations the PH-tree node needs:
 - ``insert`` and ``remove`` of bit ranges in the middle of the stream (the
   LHC shift-right on insert and shift-left on delete from Sections 3.6 and
   4.3.4),
-- export to/import from ``bytes`` for persistence,
 - an exact ``bit_length`` for the memory model.
+
+:class:`BitBuffer` keeps the stream in one Python int, so every operation
+costs O(stream); it is the LHC-shift model and ``ChunkedBitBuffer``'s
+substrate.  Trees are persisted by the linear bottom-up emitter of
+:mod:`repro.core.serialize` and read back through :class:`BitReader`.
 
 Bit addressing is stream order: bit index 0 is the first bit written.  Fields
 are stored MSB-first, matching the paper's figures where values are written
@@ -108,11 +112,6 @@ class BitBuffer:
         """Number of bits currently stored."""
         return self._length
 
-    @property
-    def byte_length(self) -> int:
-        """Number of bytes needed to hold the stream (rounded up)."""
-        return (self._length + 7) // 8
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitBuffer):
             return NotImplemented
@@ -208,24 +207,6 @@ class BitBuffer:
         return self.read(pos, 1)
 
     # -- conversion --------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialise the stream MSB-first, zero-padded to a byte boundary."""
-        if self._length == 0:
-            return b""
-        pad = (8 - self._length % 8) % 8
-        return (self._data << pad).to_bytes(self.byte_length, "big")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, bit_length: int) -> "BitBuffer":
-        """Inverse of :func:`to_bytes`; ``bit_length`` strips the padding."""
-        if bit_length < 0 or bit_length > len(raw) * 8:
-            raise ValueError(
-                f"bit_length {bit_length} inconsistent with {len(raw)} bytes"
-            )
-        pad = len(raw) * 8 - bit_length
-        data = int.from_bytes(raw, "big") >> pad
-        return cls(data, bit_length)
 
     def to_binary_string(self) -> str:
         """Render the stream as a '0'/'1' string in stream order."""

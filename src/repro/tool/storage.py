@@ -68,22 +68,25 @@ def save_index(index: IndexFile, path: Path) -> int:
 
 
 def load_index(path: Path) -> IndexFile:
-    """Read an index container written by :func:`save_index`."""
+    """Read an index container written by :func:`save_index`; a file
+    that is not one raises ``ValueError``."""
     data = path.read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path} is not a PH-tree index file")
     offset = len(_MAGIC)
-    (metadata_len,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    metadata: Dict = json.loads(
-        data[offset:offset + metadata_len].decode("utf-8")
-    )
+    try:
+        (metadata_len,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        metadata: Dict = json.loads(
+            data[offset:offset + metadata_len].decode("utf-8")
+        )
+        columns = list(metadata["columns"])
+        source = str(metadata["source"])
+        n_rows = int(metadata["n_rows"])
+        n_duplicates = int(metadata["n_duplicates"])
+    except (struct.error, KeyError, TypeError) as exc:
+        # JSON and UTF-8 decode errors are ValueErrors already.
+        raise ValueError(f"{path}: malformed index file: {exc!r}") from None
     offset += metadata_len
     tree = deserialize_tree(data[offset:], U64ValueCodec)
-    return IndexFile(
-        tree=tree,
-        columns=list(metadata["columns"]),
-        source=str(metadata["source"]),
-        n_rows=int(metadata["n_rows"]),
-        n_duplicates=int(metadata["n_duplicates"]),
-    )
+    return IndexFile(tree, columns, source, n_rows, n_duplicates)

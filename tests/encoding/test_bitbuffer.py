@@ -4,7 +4,7 @@ against a plain list-of-bits reference implementation."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -21,8 +21,6 @@ class TestBasics:
         buf = BitBuffer()
         assert len(buf) == 0
         assert buf.bit_length == 0
-        assert buf.byte_length == 0
-        assert buf.to_bytes() == b""
         assert buf.to_binary_string() == ""
 
     def test_append_and_read(self):
@@ -127,24 +125,6 @@ class TestOverwrite:
         buf.append(0b00, 2)
         with pytest.raises(IndexError):
             buf.overwrite(1, 0b11, 2)
-
-
-class TestBytesRoundTrip:
-    @given(st.binary(max_size=64), st.integers(min_value=0, max_value=8))
-    def test_from_bytes_to_bytes(self, raw, pad):
-        bit_length = max(0, len(raw) * 8 - pad)
-        buf = BitBuffer.from_bytes(raw, bit_length)
-        rebuilt = BitBuffer.from_bytes(buf.to_bytes(), bit_length)
-        assert rebuilt == buf
-
-    def test_padding_is_zero(self):
-        buf = BitBuffer()
-        buf.append(0b111, 3)
-        assert buf.to_bytes() == bytes([0b11100000])
-
-    def test_from_bytes_validates(self):
-        with pytest.raises(ValueError):
-            BitBuffer.from_bytes(b"\x00", 9)
 
 
 class BitBufferMachine(RuleBasedStateMachine):

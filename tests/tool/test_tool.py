@@ -213,6 +213,31 @@ class TestErrors:
         rc = main(["stats", str(tmp_path / "nope.pht")])
         assert rc == 2
 
+    def _stats_error(self, path, data, capsys):
+        path.write_bytes(data)
+        rc = main(["stats", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: "), err
+        return err
+
+    def test_truncated_container(self, tmp_path, capsys):
+        err = self._stats_error(tmp_path / "cut.pht", b"PHIX\x00", capsys)
+        assert "malformed index file: error(" in err
+
+    def test_metadata_missing_columns(self, tmp_path, capsys):
+        metadata = b'{"source": "x", "n_rows": 0, "n_duplicates": 0}'
+        data = b"PHIX" + len(metadata).to_bytes(4, "big") + metadata
+        err = self._stats_error(tmp_path / "meta.pht", data, capsys)
+        assert "malformed index file: KeyError('columns')" in err
+
+    def test_truncated_tree_stream(self, index_file, tmp_path, capsys):
+        data = index_file.read_bytes()
+        err = self._stats_error(
+            tmp_path / "short.pht", data[: len(data) - 40], capsys
+        )
+        assert "truncated PH-tree node stream" in err
+
 
 class TestExplain:
     def test_query_explain_prints_trace(self, index_file, capsys):
