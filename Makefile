@@ -12,7 +12,8 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Correctness harness: fixed-seed differential fuzz across the engine
-# matrix plus the parallel-layer fault drill (the CI fuzz-smoke job).
+# matrix (the CI fuzz-smoke job's fuzz leg; the fault drill runs in
+# durable-smoke below).
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro.tool check --fuzz --seed 0 --ops 4000 --dims 2,6,14
 

@@ -84,7 +84,7 @@ def freeze(
 
     Arena-backed trees (``layout="arena"``) serialise straight from
     their slabs -- no per-node object materialisation -- which is what
-    makes snapshot republish in the parallel layer cheap.  Both paths
+    keeps the durable store's flush and checkpoint cheap.  Both paths
     emit identical bytes.
 
     With ``learned=True`` a :class:`~repro.learned.index.LearnedZIndex`
@@ -224,12 +224,11 @@ class FrozenPHTree:
     is the byte string: ``nbytes`` is the stream's exact length.
 
     ``data`` may be any object exposing the buffer protocol -- ``bytes``,
-    ``bytearray``, ``memoryview``, ``mmap`` or a
-    ``multiprocessing.shared_memory.SharedMemory.buf`` -- and non-bytes
-    buffers are attached *zero-copy*: the tree keeps a ``memoryview`` and
+    ``bytearray``, ``memoryview`` or ``mmap`` -- and non-bytes buffers
+    are attached *zero-copy*: the tree keeps a ``memoryview`` and
     decodes bits straight out of the caller's storage.  A buffer larger
-    than the frozen stream (e.g. a page-rounded shared-memory segment)
-    is fine; the header records the exact payload length.
+    than the frozen stream (e.g. a page-rounded mapping) is fine; the
+    header records the exact payload length.
 
     >>> tree = PHTree(dims=2, width=8)
     >>> tree.put((3, 200), None)
@@ -326,7 +325,7 @@ class FrozenPHTree:
     @property
     def nbytes(self) -> int:
         """Exact frozen-stream size in bytes (header included) --
-        snapshot accounting without copying the buffer."""
+        size accounting without copying the buffer."""
         return self._nbytes
 
     def memory_bytes(self) -> int:

@@ -2,8 +2,8 @@
 
 Drop-in peer of :class:`repro.parallel.router.ZShardRouter` (same
 ``shard_of`` / ``bounds`` / ``shards_for_box`` / ``split_sorted``
-surface, so :class:`~repro.parallel.sharded.ShardedPHTree` and the
-snapshot pool work unchanged), but the shard boundaries are *data*:
+surface, so :class:`~repro.parallel.sharded.ShardedPHTree` works
+unchanged), but the shard boundaries are *data*:
 ``n_shards - 1`` ascending z-codes -- equi-mass split points from a
 :class:`~repro.learned.cdf.ZCdfModel`, a bulk-load stream, or a
 :class:`~repro.obs.heat.ZHeatMap` -- instead of fixed z-prefix bits.

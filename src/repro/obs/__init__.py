@@ -8,7 +8,7 @@ package makes those quantities visible on a live workload:
   registry with Prometheus-text and JSON exposition,
 - :mod:`repro.obs.probes` -- the probe inventory the hot paths report
   into (kernel traversal counts, tree-shape accounting, kNN heap
-  telemetry, per-shard/pool counters),
+  telemetry, per-shard counters),
 - :mod:`repro.obs.trace` -- ``explain()``-style structured traces for a
   single window or kNN query (imported lazily; see
   :func:`explain_query` / :func:`explain_knn`),

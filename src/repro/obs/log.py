@@ -9,9 +9,9 @@ logger:
 ====== =========== =====================================================
 flags  level       what you see
 ====== =========== =====================================================
-(none) WARNING     only problems (e.g. snapshot discard failures)
--v     INFO        lifecycle events (pool start/stop, republish counts)
--vv    DEBUG       per-shard republish/attach detail
+(none) WARNING     only problems
+-v     INFO        lifecycle events (workload phases, store recovery)
+-vv    DEBUG       per-step detail
 ====== =========== =====================================================
 """
 

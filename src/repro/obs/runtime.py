@@ -17,10 +17,8 @@ value at import time)::
     if _rt.enabled:
         _probes.ops_get.inc()
 
-The flag is process-local: worker processes spawned by
-:mod:`repro.parallel.executor` start with observability disabled, so the
-parent's exposition covers the parent-side fan-out (submit latency,
-republish counts), not the workers' internal traversals.
+The flag is process-local: it covers the traversals of the process
+that set it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Request-scoped spans: timing a query across the shard fan-out.
+"""Request-scoped spans: timing a query across the shards.
 
 One sharded query touches many hops -- the router picks shards, each
-shard waits for its read lock, the kernel scans, results merge, and a
-:class:`~repro.parallel.executor.SnapshotPool` may run parts in worker
-processes.  Aggregate histograms (PR 3) tell you the *distribution*;
-this module answers "where did **this** request's time go".
+shard waits for its read lock, the kernel scans, and results merge.
+Aggregate histograms tell you the *distribution*; this module answers
+"where did **this** request's time go".
 
 A :class:`Trace` is propagated through a :mod:`contextvars` variable,
 so any layer can attach spans without plumbing arguments.  The cost
@@ -12,16 +11,9 @@ contract mirrors the rest of the obs layer:
 
 - With no active trace, :func:`current_trace` is one ``ContextVar.get``
   returning ``None``; span sites test that and skip.  Span sites live
-  only in the sharded/parallel call layer, never inside per-node
+  only in the sharded call layer, never inside per-node
   kernel loops.
-- Timestamps use :func:`time.monotonic`, which on Linux is the
-  system-wide ``CLOCK_MONOTONIC`` -- worker processes stamp spans on
-  the same clock, so shipped-back spans land on the parent's timeline
-  without translation.
-
-Remote (worker-side) spans travel as plain ``(name, start, end)``
-tuples appended to the worker's result and re-attached via
-:meth:`Trace.add_remote`.
+- Timestamps use :func:`time.monotonic`.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import monotonic
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -39,9 +31,6 @@ __all__ = [
     "maybe_span",
     "start_trace",
 ]
-
-#: Worker-side wire format: ``(name, start, end)``.
-RemoteSpan = Tuple[str, float, float]
 
 _trace_ids = itertools.count(1)
 
@@ -122,15 +111,6 @@ class Trace:
         finally:
             span.end = monotonic()
             self.spans.append(span)
-
-    def add_remote(
-        self, spans: Sequence[RemoteSpan], **labels: Any
-    ) -> None:
-        """Attach worker-side ``(name, start, end)`` spans, tagging each
-        with ``labels`` (e.g. ``shard=3``).  Workers share the parent's
-        ``CLOCK_MONOTONIC``, so timestamps need no translation."""
-        for name, start, end in spans:
-            self.spans.append(Span(name, start, end, dict(labels)))
 
     def finish(self) -> None:
         """Close the trace's overall window."""

@@ -1,4 +1,4 @@
-"""ShardedPHTree: one PH-tree per z-prefix partition, queried in parallel.
+"""ShardedPHTree: one PH-tree per z-prefix partition.
 
 Because the PH-tree's shape is a pure function of its key set (paper
 Section 3), partitioning the key set by the top bits of the Morton code
@@ -11,15 +11,10 @@ order included.
 
 Each shard is a plain :class:`~repro.core.phtree.PHTree` behind its own
 :class:`~repro.core.concurrent.ReadWriteLock`, so writers to different
-shards never contend.  Reads have two engines:
-
-- **live** (default): traverse the locked shard trees in-process,
-- **snapshot fan-out** (``workers > 0``): ship each query to a process
-  pool working over frozen shard snapshots in shared memory
-  (:mod:`repro.parallel.executor`), escaping the GIL for multi-core
-  scaling.  A per-shard generation counter, bumped under the shard's
-  write lock, invalidates snapshots lazily: the next fan-out republishes
-  only the shards that changed.
+shards never contend.  Every read walks the touched shard trees in
+place, in-process, under their read locks -- the paper's one read path
+(Sections 3.4-3.5).  :meth:`ShardedPHTree.freeze_shards` is the
+whole-tree snapshot primitive the durable store writes as segments.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -47,13 +41,9 @@ from repro.obs import probes as _probes
 from repro.obs import recorder as _recorder
 from repro.obs import runtime as _rt
 from repro.obs import span as _span
-from repro.obs.log import get_logger
-from repro.parallel.errors import ParallelError
 from repro.parallel.router import ZShardRouter
 
 __all__ = ["ShardedPHTree"]
-
-_log = get_logger("parallel.sharded")
 
 _MISSING = object()
 
@@ -87,9 +77,8 @@ class _TimedGuard:
 
 
 class ShardedPHTree:
-    """A z-prefix-partitioned, lock-per-shard, optionally multi-process
-    PH-tree with the exact observable behaviour of one
-    :class:`~repro.core.phtree.PHTree`.
+    """A z-prefix-partitioned, lock-per-shard PH-tree with the exact
+    observable behaviour of one :class:`~repro.core.phtree.PHTree`.
 
     Parameters
     ----------
@@ -99,14 +88,6 @@ class ShardedPHTree:
     shards:
         Number of partitions; a power of two.  Each shard holds the keys
         whose top ``log2(shards)`` Morton-code bits equal its index.
-    workers:
-        ``0`` (default) answers every read from the live locked shards.
-        ``> 0`` routes ``query``/``knn``/``query_many`` through a
-        process pool over frozen shared-memory snapshots; values must
-        then be encodable by ``value_codec``.
-    value_codec:
-        Codec used to freeze shard snapshots for the worker processes
-        (default: the set-semantics ``NoneValueCodec``).
     router:
         ``"prefix"`` (default) keeps the fixed z-prefix
         :class:`~repro.parallel.router.ZShardRouter`.  ``"learned"``
@@ -117,10 +98,6 @@ class ShardedPHTree:
         with the same surface) is used as-is; ``shards`` is then taken
         from it.  All routers keep the z-interval parity contract, so
         results and their order are identical to the unsharded tree.
-    learned_snapshots:
-        When true, shard snapshots are frozen with a learned z-address
-        trailer (:func:`repro.core.frozen.freeze` ``learned=True``), so
-        snapshot-pool workers serve model-seeded reads zero-copy.
 
     >>> tree = ShardedPHTree(dims=2, width=8, shards=4)
     >>> tree.put((1, 2), None)
@@ -136,14 +113,9 @@ class ShardedPHTree:
         dims: int,
         width: "int | Sequence[int]" = 64,
         shards: int = 8,
-        workers: int = 0,
-        value_codec: Any = NoneValueCodec,
         hc_mode: str = "auto",
         router: "str | Any" = "prefix",
-        learned_snapshots: bool = False,
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         proto = PHTree(dims=dims, width=width, hc_mode=hc_mode)
         if router == "prefix":
             router = ZShardRouter(dims, proto.width, shards)
@@ -175,11 +147,6 @@ class ShardedPHTree:
         self._width_arg = width
         self._hc_mode = hc_mode
         self._check_key = proto._check_key
-        self._generations: List[int] = [0] * shards
-        self._workers = workers
-        self._codec = value_codec
-        self._learned_snapshots = learned_snapshots
-        self._pool: Optional[Any] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -190,12 +157,8 @@ class ShardedPHTree:
         dims: int,
         width: "int | Sequence[int]" = 64,
         shards: int = 8,
-        workers: int = 0,
-        value_codec: Any = NoneValueCodec,
         hc_mode: str = "auto",
-        build_workers: int = 0,
         router: "str | Any" = "prefix",
-        learned_snapshots: bool = False,
     ) -> "ShardedPHTree":
         """Bulk-build: one global z-sort, then a per-shard bottom-up
         :func:`~repro.core.bulk.bulk_load_sorted` over each contiguous
@@ -206,21 +169,8 @@ class ShardedPHTree:
         ``router="learned"`` fits equi-mass z-cuts to the sorted batch
         itself -- the bulk stream *is* the distribution -- so a skewed
         key set still spreads evenly over the shards.
-        ``build_workers > 1`` builds the independent shard trees on a
-        thread pool; under CPython's GIL that overlaps little compute,
-        but the runs are fully independent, so the build parallelises
-        for free on GIL-free interpreters.
         """
-        tree = cls(
-            dims,
-            width,
-            shards=shards,
-            workers=workers,
-            value_codec=value_codec,
-            hc_mode=hc_mode,
-            router=router,
-            learned_snapshots=learned_snapshots,
-        )
+        tree = cls(dims, width, shards=shards, hc_mode=hc_mode, router=router)
         check = tree._check_key
         deduped: Dict[Key, Any] = {}
         for key, value in entries:
@@ -240,7 +190,6 @@ class ShardedPHTree:
         # Cut the sorted batch into per-shard runs straight from the
         # z-codes (works for any contiguous-z-interval router).
         shard_of_z = tree._router.shard_of_z
-        runs: List[Tuple[int, List[Tuple[Key, Any]], List[int]]] = []
         start = 0
         n = len(items)
         while start < n:
@@ -248,39 +197,18 @@ class ShardedPHTree:
             end = start + 1
             while end < n and shard_of_z(zs[end]) == shard:
                 end += 1
-            runs.append((shard, items[start:end], zs[start:end]))
-            start = end
-
-        def install(
-            shard: int,
-            run: List[Tuple[Key, Any]],
-            run_zs: List[int],
-        ) -> None:
             built = bulk_load_sorted(
-                run,
+                items[start:end],
                 dims,
                 width,
                 hc_mode=hc_mode,
                 validate=False,
-                zcodes=run_zs,
+                zcodes=zs[start:end],
             )
             locked = tree._shards[shard]
             with locked.lock.write():
                 locked._tree = built
-                tree._generations[shard] += 1
-
-        if build_workers > 1 and len(runs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=build_workers) as pool:
-                for future in [
-                    pool.submit(install, shard, run, run_zs)
-                    for shard, run, run_zs in runs
-                ]:
-                    future.result()
-        else:
-            for shard, run, run_zs in runs:
-                install(shard, run, run_zs)
+            start = end
         return tree
 
     # -- topology ----------------------------------------------------------------
@@ -307,11 +235,6 @@ class ShardedPHTree:
         :class:`~repro.learned.router.LearnedZRouter` (pure arithmetic,
         shareable)."""
         return self._router
-
-    @property
-    def generations(self) -> Tuple[int, ...]:
-        """Per-shard write generation counters (snapshot staleness)."""
-        return tuple(self._generations)
 
     def relearn_router(self, source: str = "contents") -> None:
         """Re-fit learned equi-mass z-cuts and re-shard in place.
@@ -374,7 +297,6 @@ class ShardedPHTree:
                     validate=False,
                     zcodes=zs[lo:hi],
                 )
-                self._generations[index] += 1
             self._router = router
         finally:
             for guard in reversed(guards):
@@ -392,7 +314,7 @@ class ShardedPHTree:
     def __bool__(self) -> bool:
         return any(len(shard) for shard in self._shards)
 
-    # -- mutations (shard write lock + generation bump) ---------------------------
+    # -- mutations (shard write lock) ----------------------------------------------
 
     def put(self, key: Sequence[int], value: Any = None) -> Any:
         """Insert/update; returns the previous value (or ``None``)."""
@@ -401,7 +323,6 @@ class ShardedPHTree:
         locked = self._shards[index]
         with self._write_guard(index, "put"):
             previous = locked.unsafe_tree.put(key, value)
-            self._generations[index] += 1
         return previous
 
     def _write_guard(self, index: int, op: str) -> Any:
@@ -443,7 +364,6 @@ class ShardedPHTree:
                 value = locked.unsafe_tree.remove(key)
             else:
                 value = locked.unsafe_tree.remove(key, default)
-            self._generations[index] += 1
         return value
 
     def update_key(
@@ -459,7 +379,6 @@ class ShardedPHTree:
             locked = self._shards[source]
             with self._write_guard(source, "update_key"):
                 locked.unsafe_tree.update_key(old_key, new_key)
-                self._generations[source] += 1
             return
         first, second = sorted((source, target))
         with self._write_guard(first, "update_key"):
@@ -472,8 +391,6 @@ class ShardedPHTree:
                     )
                 value = source_tree.remove(old_key)
                 target_tree.put(new_key, value)
-                self._generations[source] += 1
-                self._generations[target] += 1
 
     def put_all(
         self, entries: "Sequence[Tuple[Sequence[int], Any]]"
@@ -491,14 +408,12 @@ class ShardedPHTree:
                 put = locked.unsafe_tree.put
                 for key, value in grouped[index]:
                     put(key, value)
-                self._generations[index] += 1
 
     def clear(self) -> None:
         """Remove all entries from every shard."""
         for index, locked in enumerate(self._shards):
             with self._write_guard(index, "clear"):
                 locked.unsafe_tree.clear()
-                self._generations[index] += 1
 
     # -- point reads (live shard, shared lock) --------------------------------------
 
@@ -552,14 +467,7 @@ class ShardedPHTree:
         self, box_min: Sequence[int], box_max: Sequence[int]
     ) -> List[Tuple[Key, Any]]:
         """Materialised window query, in exactly the unsharded z-order
-        (shard regions are z-contiguous, so concatenation suffices).
-
-        With ``workers > 0`` the query fans out over the snapshot
-        process pool; any :class:`~repro.parallel.errors.ParallelError`
-        (worker death, broken pool, publish failure) degrades to the
-        live in-process engine -- same results, no infrastructure fault
-        ever surfaces as a wrong or failed read.
-        """
+        (shard regions are z-contiguous, so concatenation suffices)."""
         trace = _span.current_trace()
         box_min = self._check_key(box_min)
         box_max = self._check_key(box_max)
@@ -570,25 +478,7 @@ class ShardedPHTree:
                 shards = self._router.shards_for_box(box_min, box_max)
         else:
             shards = self._router.shards_for_box(box_min, box_max)
-        if self._workers:
-            try:
-                return self._snapshot_pool().query(
-                    box_min, box_max, shards
-                )
-            except ParallelError as exc:
-                self._note_fallback("query", exc)
-        return self._query_live(shards, box_min, box_max)
-
-    def _note_fallback(self, op: str, exc: ParallelError) -> None:
-        _log.warning(
-            "%s fan-out degraded to the live engine: %s", op, exc
-        )
-
-    def _query_live(
-        self, shards: Sequence[int], box_min: Key, box_max: Key
-    ) -> List[Tuple[Key, Any]]:
         merged: List[Tuple[Key, Any]] = []
-        trace = _span.current_trace()
         if _rt.enabled or trace is not None:
             for index in shards:
                 t0 = monotonic()
@@ -630,21 +520,6 @@ class ShardedPHTree:
                 continue
             for index in self._router.shards_for_box(lo, hi):
                 per_shard.setdefault(index, []).append(position)
-        if self._workers:
-            try:
-                return self._snapshot_pool().query_many(
-                    per_shard, checked, len(checked)
-                )
-            except ParallelError as exc:
-                self._note_fallback("query_many", exc)
-        return self._query_many_live(per_shard, checked, use_masks)
-
-    def _query_many_live(
-        self,
-        per_shard: "Dict[int, List[int]]",
-        checked: List[Tuple[Key, Key]],
-        use_masks: bool,
-    ) -> List[List[Tuple[Key, Any]]]:
         results: List[List[Tuple[Key, Any]]] = [[] for _ in checked]
         trace = _span.current_trace()
         for index in sorted(per_shard):
@@ -688,14 +563,7 @@ class ShardedPHTree:
         if n <= 0:
             return []
         width = self._router.width
-        candidate_lists: Optional[List[List[Tuple[Key, Any]]]] = None
-        if self._workers:
-            try:
-                candidate_lists = self._snapshot_pool().knn(key, n)
-            except ParallelError as exc:
-                self._note_fallback("knn", exc)
-        if candidate_lists is None:
-            candidate_lists = self._knn_live_candidates(key, n)
+        candidate_lists = self._knn_candidates(key, n)
         trace = _span.current_trace()
         t0 = monotonic() if trace is not None else 0.0
         merged = [
@@ -709,10 +577,10 @@ class ShardedPHTree:
             trace.add("merge", t0, monotonic())
         return [(candidate, value) for _, _, candidate, value in merged[:n]]
 
-    def _knn_live_candidates(
+    def _knn_candidates(
         self, key: Key, n: int
     ) -> List[List[Tuple[Key, Any]]]:
-        """Per-shard candidate lists from the live locked shards, in
+        """Per-shard candidate lists from the locked shards, in
         ascending region distance with lower-bound pruning."""
         region_dist = squared_euclidean_region_int(key)
         order = sorted(
@@ -781,47 +649,12 @@ class ShardedPHTree:
     def __iter__(self) -> Iterator[Key]:
         return self.keys()
 
-    # -- parallel engine management ----------------------------------------------
-
-    def _snapshot_pool(self) -> Any:
-        if self._pool is None:
-            from repro.parallel.executor import SnapshotPool
-
-            self._pool = SnapshotPool(self, self._workers, self._codec)
-        return self._pool
-
-    def set_workers(self, workers: int) -> None:
-        """Resize (or disable, with ``0``) the process-pool engine."""
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if workers == self._workers:
-            return
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._workers = workers
-
-    def refresh_snapshots(self) -> int:
-        """Eagerly republish stale shard snapshots; returns the count
-        republished (0 when no pool is active)."""
-        if self._workers == 0:
-            return 0
-        return self._snapshot_pool().refresh()
-
-    def snapshot_bytes(self) -> int:
-        """Bytes currently published in shared memory (0 without a pool)."""
-        if self._pool is None:
-            return 0
-        return self._pool.snapshot_bytes()
+    # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the process pool and unlink all shared memory;
-        subsequent reads fall back to the live (in-process) engine.
-        Re-enable fan-out with :meth:`set_workers`."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._workers = 0
+        """Release the tree.  Shards hold no external resources, so this
+        is a no-op kept for the ``with`` form that the durable store and
+        the tools share; reads keep working afterwards."""
 
     def __enter__(self) -> "ShardedPHTree":
         return self
@@ -829,18 +662,10 @@ class ShardedPHTree:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
     # -- snapshots ----------------------------------------------------------------
 
     def freeze_shards(
-        self,
-        value_codec: Any = NoneValueCodec,
-        learned: "bool | None" = None,
+        self, value_codec: Any = NoneValueCodec, learned: bool = False
     ) -> List[bytes]:
         """Freeze every shard to its packed byte stream, each under its
         read lock; index ``i`` of the result is shard ``i``'s stream
@@ -848,13 +673,11 @@ class ShardedPHTree:
 
         This is the whole-tree snapshot primitive: the durable store's
         checkpoint writes these streams verbatim as segment files and
-        later mmap-attaches them zero-copy.  ``learned`` defaults to
-        this tree's ``learned_snapshots`` setting.
+        later mmap-attaches them zero-copy.  ``learned`` appends the
+        learned z-address trailer to each stream.
         """
         from repro.core.frozen import freeze
 
-        if learned is None:
-            learned = self._learned_snapshots
         blobs: List[bytes] = []
         for locked in self._shards:
             with locked.lock.read():

@@ -44,6 +44,7 @@ from repro.obs import recorder as _recorder
 from repro.obs import runtime as _rt
 from repro.parallel.sharded import ShardedPHTree
 from repro.store import io as store_io
+from repro.store.io import StoreCorruption, StoreError
 from repro.store.manifest import (
     MANIFEST_NAME,
     MANIFEST_TMP,
@@ -62,7 +63,7 @@ from repro.store.segment import (
 from repro.store.wal import RecordCodec, WalRecord, WriteAheadLog
 from repro.store.wal import OP_DEL, OP_PUT, OP_UPD
 
-__all__ = ["DurablePHTree", "StoreError"]
+__all__ = ["DurablePHTree", "StoreCorruption", "StoreError"]
 
 Key = Tuple[int, ...]
 
@@ -70,11 +71,6 @@ _MISSING = object()
 
 _CODECS = {"none": NoneValueCodec, "u64": U64ValueCodec}
 _CODEC_NAMES = {NoneValueCodec: "none", U64ValueCodec: "u64"}
-
-
-class StoreError(RuntimeError):
-    """A durable-store protocol violation (bad directory, geometry
-    mismatch, use-after-close)."""
 
 
 def _wal_name(generation: int) -> str:
@@ -187,7 +183,7 @@ class DurablePHTree:
         self._next_seq = 1
         self._recovery_info: Dict[str, int] = {}
         self._live = ShardedPHTree(
-            dims, width, shards=shards, value_codec=codec, hc_mode=hc_mode
+            dims, width, shards=shards, hc_mode=hc_mode
         )
         self._check_key = self._live._check_key
 
@@ -299,7 +295,6 @@ class DurablePHTree:
             self._dims,
             self._width,
             shards=self._n_shards,
-            value_codec=self._codec,
             hc_mode=self._hc_mode,
         )
         shard_of_z = live.router.shard_of_z
@@ -321,7 +316,6 @@ class DurablePHTree:
             locked = live._shards[shard]
             with locked.lock.write():
                 locked._tree = built
-                live._generations[shard] += 1
             start = end
         self._live = live
         self._check_key = live._check_key

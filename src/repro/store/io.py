@@ -44,6 +44,8 @@ from repro.obs import recorder as _recorder
 
 __all__ = [
     "SimulatedCrash",
+    "StoreCorruption",
+    "StoreError",
     "arm",
     "arm_from_env",
     "crashed",
@@ -61,6 +63,17 @@ __all__ = [
 #: Environment variable a drill subprocess is armed through:
 #: ``scope:budget`` or ``scope:budget:kill``.
 CRASH_ENV = "REPRO_STORE_CRASH"
+
+
+class StoreError(RuntimeError):
+    """A durable-store protocol violation (bad directory, geometry
+    mismatch, use-after-close)."""
+
+
+class StoreCorruption(StoreError):
+    """Durable bytes fail verification in a way no crash explains (a
+    damaged record with acknowledged records after it); the store
+    refuses to open and leaves the files as they are."""
 
 
 class SimulatedCrash(BaseException):

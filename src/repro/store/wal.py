@@ -9,9 +9,13 @@ buffer, handed to the kernel in a single :func:`repro.store.io.write`,
 and made durable with a single fsync.  Recovery scans frames from the
 start and keeps the longest valid prefix: the scan stops at the first
 frame whose header overruns the file, whose length is implausible, or
-whose CRC does not match -- exactly what a crash mid-append (a torn
-frame) or a bit-flip in the tail leaves behind.  The invalid tail is
-truncated away so the next append extends a clean prefix.
+whose CRC does not match.  That invalid frame is a *torn tail* -- what
+a crash mid-append leaves behind -- only when no valid frame continuing
+the record sequence follows it; the tail is then truncated away so the
+next append extends a clean prefix.  A damaged frame with valid,
+acknowledged records after it is corruption, not a crash: the scan
+raises :class:`~repro.store.io.StoreCorruption` and the file is left
+untouched.
 
 Payloads belong to the engine; this module also hosts their codec so
 the drill driver and tests can speak it: a mutation record is
@@ -31,12 +35,14 @@ import zlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.store import io as store_io
+from repro.store.io import StoreCorruption
 
 __all__ = [
     "OP_DEL",
     "OP_PUT",
     "OP_UPD",
     "RecordCodec",
+    "StoreCorruption",
     "WalRecord",
     "WriteAheadLog",
     "scan_frames",
@@ -54,6 +60,7 @@ OP_DEL = 2
 OP_UPD = 3
 
 _SEQ_OP = struct.Struct("<QB")
+_SEQ = struct.Struct("<Q")
 
 
 def frame(payload: bytes) -> bytes:
@@ -65,28 +72,53 @@ def frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _frame_at(data: bytes, pos: int) -> Optional[bytes]:
+    """The payload of the valid frame starting at ``pos``, else None."""
+    if pos + _FRAME_SIZE > len(data):
+        return None
+    length, crc = _FRAME.unpack_from(data, pos)
+    end = pos + _FRAME_SIZE + length
+    if length == 0 or length > MAX_PAYLOAD or end > len(data):
+        return None
+    payload = bytes(data[pos + _FRAME_SIZE : end])
+    return payload if zlib.crc32(payload) == crc else None
+
+
+def _seq_of(payload: bytes) -> int:
+    """The record sequence number a payload starts with (-1 when the
+    payload is too short to carry one)."""
+    return _SEQ.unpack_from(payload)[0] if len(payload) >= _SEQ.size else -1
+
+
 def scan_frames(data: bytes) -> Tuple[List[bytes], int]:
     """Decode the longest valid frame prefix of ``data``.
 
     Returns ``(payloads, valid_end)`` where ``valid_end`` is the byte
-    offset the valid prefix ends at; everything past it is torn or
-    corrupt and must be discarded.
+    offset the valid prefix ends at; everything past it is a torn tail
+    and must be discarded.
+
+    Raises :class:`~repro.store.io.StoreCorruption` when a valid frame
+    whose sequence number continues past the prefix's last one starts
+    anywhere after ``valid_end``: the invalid frame then sits in the
+    middle of acknowledged records, and truncating would drop them.
     """
     payloads: List[bytes] = []
     pos = 0
-    size = len(data)
-    while pos + _FRAME_SIZE <= size:
-        length, crc = _FRAME.unpack_from(data, pos)
-        if length == 0 or length > MAX_PAYLOAD:
-            break
-        end = pos + _FRAME_SIZE + length
-        if end > size:
-            break
-        payload = bytes(data[pos + _FRAME_SIZE : end])
-        if zlib.crc32(payload) != crc:
+    while True:
+        payload = _frame_at(data, pos)
+        if payload is None:
             break
         payloads.append(payload)
-        pos = end
+        pos += _FRAME_SIZE + len(payload)
+    last_seq = _seq_of(payloads[-1]) if payloads else -1
+    for start in range(pos + 1, len(data) - _FRAME_SIZE):
+        later = _frame_at(data, start)
+        if later is not None and _seq_of(later) > last_seq:
+            raise StoreCorruption(
+                f"WAL frame at byte {pos} is damaged but a valid record "
+                f"(seq {_seq_of(later)}) follows at byte {start}; "
+                f"refusing to truncate acknowledged writes"
+            )
     return payloads, pos
 
 
@@ -197,6 +229,8 @@ class WriteAheadLog:
         Returns ``(wal, payloads, torn_bytes)``: the decoded longest
         valid prefix and how many trailing bytes were discarded.  The
         torn tail is truncated off so subsequent appends are clean.
+        Mid-log damage raises :class:`~repro.store.io.StoreCorruption`
+        (see :func:`scan_frames`) before the file is opened for writing.
         Reads and the repair truncation are recovery-side operations on
         already-durable state and bypass crash accounting.
         """

@@ -109,19 +109,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     box_min, box_max = _parse_box(args.box, index.dims)
     lo, hi = encode_point(box_min), encode_point(box_max)
     if args.learned:
-        if args.shards > 1 or args.workers > 0:
+        if args.shards > 1:
             print(
                 "error: --learned serves from one frozen snapshot; "
-                "drop --shards/--workers",
+                "drop --shards",
                 file=sys.stderr,
             )
             return 2
         return _query_learned(args, index, lo, hi)
-    if args.explain and (args.shards > 1 or args.workers > 0):
-        # Request-scoped span waterfall across the shard fan-out:
-        # router -> per-shard lock wait -> scan (worker attach/scan
-        # when a process pool is used) -> merge.
-        from repro.core.serialize import U64ValueCodec
+    if args.explain and args.shards > 1:
+        # Request-scoped span waterfall across the shards:
+        # router -> per-shard lock wait -> scan -> merge.
         from repro.obs import span as span_mod
         from repro.parallel import ShardedPHTree
 
@@ -129,9 +127,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             list(index.tree.items()),
             dims=index.dims,
             width=64,
-            shards=max(args.shards, 1),
-            workers=args.workers,
-            value_codec=U64ValueCodec,
+            shards=args.shards,
         ) as sharded:
             with span_mod.start_trace() as trace:
                 results = sharded.query(lo, hi)
@@ -149,19 +145,15 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{len(trace.results)} point(s) in box", file=sys.stderr
         )
         return 0
-    if args.shards > 1 or args.workers > 0:
-        # Fan the window out over a z-sharded copy of the index; row
-        # numbers are u64, so the snapshot codec round-trips them.
-        from repro.core.serialize import U64ValueCodec
+    if args.shards > 1:
+        # Answer the window from a z-sharded copy of the index.
         from repro.parallel import ShardedPHTree
 
         with ShardedPHTree.build(
             list(index.tree.items()),
             dims=index.dims,
             width=64,
-            shards=max(args.shards, 1),
-            workers=args.workers,
-            value_codec=U64ValueCodec,
+            shards=args.shards,
         ) as sharded:
             results = sharded.query(lo, hi)
     else:
@@ -324,11 +316,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Drive a demonstration workload with instrumentation enabled and
     print the resulting registry (Prometheus text or JSON).
 
-    With ``--shards``/``--workers`` the workload runs against a
-    z-sharded copy of the index -- writes, point reads, window + kNN
-    fan-outs and a snapshot refresh -- so the per-shard op counts,
-    lock-wait times, republish and stale-invalidation counters all
-    move.  Without them it exercises the single-tree read paths.
+    With ``--shards`` the workload runs against a z-sharded copy of
+    the index -- writes, point reads, window and kNN reads -- so the
+    per-shard op counts and lock-wait times move.  Without it the
+    workload exercises the single-tree read paths.
     """
     from repro import obs
 
@@ -344,27 +335,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     obs.reset_all()
     obs.enable()
     try:
-        if args.shards > 1 or args.workers > 0:
-            from repro.core.serialize import U64ValueCodec
+        if args.shards > 1:
             from repro.parallel import ShardedPHTree
 
-            _log.info(
-                "driving sharded workload (%d shards, %d workers)",
-                args.shards,
-                args.workers,
-            )
+            _log.info("driving sharded workload (%d shards)", args.shards)
             with ShardedPHTree.build(
                 list(index.tree.items()),
                 dims=dims,
                 width=64,
-                shards=max(args.shards, 1),
-                workers=args.workers,
-                value_codec=U64ValueCodec,
+                shards=args.shards,
             ) as sharded:
-                sharded.query(domain_lo, domain_hi)  # publishes snapshots
+                sharded.query(domain_lo, domain_hi)
                 for key in sample:
-                    sharded.put(key, sharded.get(key))  # bump generations
-                sharded.refresh_snapshots()  # republish + invalidate
+                    sharded.put(key, sharded.get(key))
                 sharded.get_many(sample)
                 sharded.query_many(
                     [(domain_lo, domain_hi), (domain_lo, domain_lo)]
@@ -604,8 +587,8 @@ def _store_ingest(
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the correctness harness: validate a saved index, fuzz the
-    engines against the reference model, and/or drill the parallel
-    layer's fault handling.  Returns 0 only if every requested stage
+    engines against the reference model, and/or drill the lock and
+    durable-store fault handling.  Returns 0 only if every requested stage
     passes."""
     from repro.check import FuzzConfig, FuzzFailure, run_fuzz, validate_tree
 
@@ -742,15 +725,8 @@ def _parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="fan the query out over this many z-order shards "
+        help="answer the query from this many z-order shards "
         "(power of two; default: %(default)s, serial)",
-    )
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for the sharded fan-out (0 = stay "
-        "in-process; default: %(default)s)",
     )
     query.add_argument(
         "--explain",
@@ -812,13 +788,6 @@ def _parser() -> argparse.ArgumentParser:
         default=1,
         help="drive the workload through this many z-order shards "
         "(power of two; default: %(default)s, single tree)",
-    )
-    metrics.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for the sharded workload (0 = live "
-        "reads; default: %(default)s)",
     )
     metrics.add_argument(
         "--format",
@@ -889,7 +858,8 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--faults",
         action="store_true",
-        help="run the parallel-layer fault-injection drill",
+        help="run the fault-injection drill (lock timeout and the "
+        "durable-store disk faults)",
     )
     check.add_argument(
         "--seed",

@@ -142,7 +142,7 @@ def test_accepts_sharded_tree():
         for i in range(300)
     ]
     with ShardedPHTree.build(
-        items, dims=2, width=16, shards=4, workers=0
+        items, dims=2, width=16, shards=4
     ) as sharded:
         report = validate_tree(sharded)
     assert report.engine == "ShardedPHTree"

@@ -273,15 +273,15 @@ class TestShardedStress:
         assert list(tree.items()) == list(reference.items())
 
     def test_snapshot_vs_live_consistency_under_writes(self):
-        """Alternate write bursts with snapshot-engine reads: after
-        every burst the fan-out result must equal both the live sharded
-        read and the unsharded oracle."""
+        """Alternate write bursts with reads: after every burst the live
+        sharded read and a ``freeze_shards`` snapshot of it must both
+        equal the unsharded oracle."""
+        from repro.core.frozen import FrozenPHTree
+
         dims, width = 3, 8
         rng = random.Random(13)
         oracle = PHTree(dims=dims, width=width)
-        with ShardedPHTree(
-            dims=dims, width=width, shards=4, workers=1
-        ) as tree:
+        with ShardedPHTree(dims=dims, width=width, shards=4) as tree:
             lo = (0,) * dims
             hi = ((1 << width) - 1,) * dims
             for _ in range(5):
@@ -295,5 +295,11 @@ class TestShardedStress:
                     elif key in oracle:
                         tree.remove(key)
                         oracle.remove(key)
-                snapshot_read = tree.query(lo, hi)  # process pool
-                assert snapshot_read == list(oracle.query(lo, hi))
+                expected = list(oracle.query(lo, hi))
+                assert tree.query(lo, hi) == expected
+                snapshot_read = [
+                    entry
+                    for blob in tree.freeze_shards()
+                    for entry in FrozenPHTree(blob).query(lo, hi)
+                ]
+                assert snapshot_read == expected

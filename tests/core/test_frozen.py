@@ -202,3 +202,57 @@ def test_property_frozen_equals_live(keys):
     assert list(frozen.keys()) == list(tree.keys())
     for key in keys:
         assert frozen.contains(key)
+
+
+class TestBufferAttach:
+    """FrozenPHTree over arbitrary buffers, zero-copy."""
+
+    def _tree(self):
+        tree = PHTree(dims=2, width=8)
+        for key in [(1, 2), (3, 4), (200, 100), (255, 0)]:
+            tree.put(key, None)
+        return tree
+
+    def test_memoryview_and_bytearray_match_bytes(self):
+        blob = freeze(self._tree())
+        reference = FrozenPHTree(blob)
+        for buffer in (memoryview(blob), bytearray(blob)):
+            frozen = FrozenPHTree(buffer)
+            assert list(frozen.items()) == list(reference.items())
+            assert frozen.nbytes == reference.nbytes == len(blob)
+
+    def test_padded_buffer_reports_exact_nbytes(self):
+        """A page-rounded mapping is larger than the stream; nbytes and
+        memory_bytes still report the exact frozen length."""
+        blob = freeze(self._tree())
+        padded = memoryview(blob + b"\x00" * 512)
+        frozen = FrozenPHTree(padded)
+        assert frozen.nbytes == len(blob)
+        assert frozen.memory_bytes() == len(blob)
+        assert len(frozen) == 4
+
+    def test_mmap_attach_is_queryable(self, tmp_path):
+        import mmap
+
+        blob = freeze(self._tree())
+        path = tmp_path / "tree.phf"
+        path.write_bytes(blob)
+        with open(path, "rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        try:
+            frozen = FrozenPHTree(mapped)
+            assert frozen.contains((200, 100))
+            assert sorted(frozen.keys()) == [
+                (1, 2),
+                (3, 4),
+                (200, 100),
+                (255, 0),
+            ]
+            del frozen  # release the view before closing the mapping
+        finally:
+            mapped.close()
+
+    def test_truncated_buffer_rejected(self):
+        blob = freeze(self._tree())
+        with pytest.raises(ValueError):
+            FrozenPHTree(memoryview(blob[: len(blob) - 2]))

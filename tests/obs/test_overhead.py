@@ -139,7 +139,7 @@ def sharded_workload():
         }.items()
     )
     tree = ShardedPHTree.build(
-        items, dims=DIMS, width=WIDTH, shards=4, workers=0
+        items, dims=DIMS, width=WIDTH, shards=4
     )
     boxes = []
     for _ in range(20):

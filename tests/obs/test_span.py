@@ -1,5 +1,5 @@
-"""Request-scoped spans: context propagation, remote splicing, and the
-waterfall across the sharded fan-out."""
+"""Request-scoped spans: context propagation and the waterfall across
+the shards of a sharded read."""
 
 from __future__ import annotations
 
@@ -54,15 +54,12 @@ class TestTrace:
         assert span.labels == {"shard": 3}
         assert span.end >= span.start
 
-    def test_add_and_add_remote(self):
+    def test_add(self):
         trace = Trace()
-        trace.add("local", 1.0, 2.0, shard=0)
-        trace.add_remote([("attach", 2.0, 2.5), ("scan", 2.5, 4.0)],
-                         shard=1)
-        names = [s.name for s in trace.spans]
-        assert names == ["local", "attach", "scan"]
-        assert all(s.labels.get("shard") == 1 for s in trace.spans[1:])
-        assert trace.spans[2].duration_s == pytest.approx(1.5)
+        span = trace.add("local", 1.0, 2.5, shard=0)
+        assert trace.spans == [span]
+        assert span.labels == {"shard": 0}
+        assert span.duration_s == pytest.approx(1.5)
 
     def test_negative_duration_clamped(self):
         assert Span("x", 2.0, 1.0).duration_s == 0.0
@@ -106,7 +103,7 @@ class TestShardedSpans:
             for y in range(20)
         ]
         with ShardedPHTree.build(
-            items, dims=2, width=16, shards=4, workers=0
+            items, dims=2, width=16, shards=4
         ) as tree:
             yield tree
 
@@ -156,28 +153,3 @@ class TestShardedSpans:
         with start_trace():
             traced = sharded.query((0, 0), (65535, 65535))
         assert traced == plain
-
-
-class TestWorkerSpans:
-    def test_remote_spans_ship_back_from_the_pool(self):
-        items = [
-            ((x * 4000, y * 4000), None)
-            for x in range(16)
-            for y in range(16)
-        ]
-        with ShardedPHTree.build(
-            items, dims=2, width=16, shards=2, workers=1
-        ) as tree:
-            with start_trace() as trace:
-                results = tree.query((0, 0), (65535, 65535))
-            assert len(results) == 256
-            names = [s.name for s in trace.spans]
-            assert "refresh" in names
-            assert "fanout" in names
-            # Worker-side spans spliced onto the parent timeline.
-            assert names.count("attach") == 2
-            assert names.count("scan") == 2
-            for span in trace.spans:
-                if span.name in ("attach", "scan"):
-                    assert "shard" in span.labels
-                    assert span.start >= trace.t0 - 1e-3

@@ -138,16 +138,6 @@ class TestShardTopology:
         tree.check_invariants()  # includes the routing invariant
         assert sum(tree.shard_sizes().values()) == len(tree)
 
-    def test_generation_counter_tracks_writes(self):
-        tree = ShardedPHTree(dims=2, width=8, shards=4)
-        before = tree.generations
-        tree.put((0, 0), None)  # shard 0
-        tree.put((255, 255), None)  # shard 3
-        after = tree.generations
-        assert after[0] == before[0] + 1
-        assert after[3] == before[3] + 1
-        assert after[1] == before[1] and after[2] == before[2]
-
     def test_invalid_keys_raise_like_phtree(self):
         tree = ShardedPHTree(dims=2, width=8, shards=4)
         for bad in [(1,), (1, 2, 3), (-1, 0), (256, 0)]:
@@ -197,3 +187,39 @@ class TestBatchedReads:
         )
         for lo, hi in _boxes(rng, 3, 10):
             assert tree.count(lo, hi) == len(tree.query(lo, hi))
+
+
+class TestLifecycle:
+    def test_close_keeps_reads_working(self):
+        sharded = ShardedPHTree(dims=2, width=8, shards=2)
+        sharded.put((1, 1), None)
+        assert sharded.query((0, 0), (255, 255)) == [((1, 1), None)]
+        sharded.close()
+        sharded.close()  # idempotent
+        assert sharded.query((0, 0), (255, 255)) == [((1, 1), None)]
+        with ShardedPHTree(dims=2, width=8, shards=2) as scoped:
+            scoped.put((2, 2), None)
+        assert scoped.get((2, 2)) is None and (2, 2) in scoped
+
+    def test_freeze_shards_round_trips_values(self):
+        from repro.core.frozen import FrozenPHTree
+        from repro.core.serialize import U64ValueCodec
+
+        keys = _dataset("CUBE", 300, 3, seed=5)
+        entries = [(k, i * 7) for i, k in enumerate(keys)]
+        oracle = PHTree(dims=3, width=WIDTH)
+        for k, v in entries:
+            oracle.put(k, v)
+        sharded = ShardedPHTree.build(
+            entries, dims=3, width=WIDTH, shards=4
+        )
+        blobs = sharded.freeze_shards(U64ValueCodec)
+        assert len(blobs) == sharded.n_shards
+        lo = (0,) * 3
+        hi = ((1 << WIDTH) - 1,) * 3
+        frozen_read = [
+            entry
+            for blob in blobs
+            for entry in FrozenPHTree(blob, U64ValueCodec).query(lo, hi)
+        ]
+        assert frozen_read == list(oracle.query(lo, hi))

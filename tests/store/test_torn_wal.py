@@ -1,13 +1,17 @@
-"""Torn-WAL corpus: recovery replays the longest valid prefix.
+"""Torn-WAL corpus: recovery replays the longest valid prefix, and
+refuses mid-log damage.
 
 One deterministic store is built with its first half flushed into
 segments and its second half WAL-only.  The corpus then corrupts the
 WAL every way a crash or silent disk error can -- truncation at every
 frame boundary, truncation inside every frame (header and payload),
-and bit-flips across the CRC-covered regions -- and requires each
-recovery to be validator-green with contents equal to an exact op-
-stream prefix at or past the flushed half.  Never a validator-red
-store, never invented data.
+and bit-flips across the CRC-covered regions.  Damage confined to the
+final frame is a torn tail: recovery must be validator-green with
+contents equal to an exact op-stream prefix at or past the flushed
+half.  Damage with valid records after it must raise
+:class:`StoreCorruption` and leave the WAL's bytes as they were --
+never a validator-red store, never invented data, never a silent drop
+of acknowledged writes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pytest
 from repro.check.validate import validate_tree
 from repro.core.serialize import U64ValueCodec
 from repro.store.drill import build_ops, prefix_states
-from repro.store.engine import DurablePHTree
+from repro.store.engine import DurablePHTree, StoreCorruption
 from repro.store.manifest import load_manifest
 
 DIMS, WIDTH, ENTRIES, SEED = 2, 16, 64, 11
@@ -66,12 +70,18 @@ def base_store(tmp_path_factory):
     return base, manifest.wal, data, boundaries
 
 
-def _recover(base: str, wal_name: str, blob: bytes, tmp_path) -> dict:
-    """Clone the base store, install the corrupted WAL, reopen."""
+def _install(base: str, wal_name: str, blob: bytes, tmp_path) -> str:
+    """Clone the base store and install the corrupted WAL."""
     work = str(tmp_path / "db")
     shutil.copytree(base, work)
     with open(os.path.join(work, wal_name), "wb") as f:
         f.write(blob)
+    return work
+
+
+def _recover(base: str, wal_name: str, blob: bytes, tmp_path) -> dict:
+    """Clone the base store, install the corrupted WAL, reopen."""
+    work = _install(base, wal_name, blob, tmp_path)
     store = DurablePHTree.open(work, value_codec=U64ValueCodec)
     try:
         validate_tree(store)
@@ -106,16 +116,62 @@ def test_truncation_inside_every_frame(base_store, tmp_path):
 
 def test_bitflips_across_crc_covered_regions(base_store, tmp_path):
     base, wal_name, data, boundaries = base_store
+    final_start = boundaries[-2]
     step = max(1, len(data) // 24)
-    for n, pos in enumerate(range(0, len(data), step)):
+    positions = list(range(0, len(data), step))
+    # Every byte class of the final frame: header, payload, last byte.
+    positions += [final_start, final_start + 4, final_start + 9,
+                  len(data) - 1]
+    for n, pos in enumerate(sorted(set(positions))):
         blob = bytearray(data)
         blob[pos] ^= 0x10
-        contents = _recover(
-            base, wal_name, bytes(blob), tmp_path / f"x{n}"
-        )
-        # The damaged record and everything after it are discarded;
-        # whatever survives is an exact prefix past the flushed half.
-        assert contents in STATES[HALF:], f"bit-flip at byte {pos}"
+        if pos >= final_start:
+            # A torn tail: only the damaged final record is dropped.
+            contents = _recover(
+                base, wal_name, bytes(blob), tmp_path / f"x{n}"
+            )
+            assert contents == STATES[len(boundaries) - 2 + HALF], (
+                f"bit-flip at byte {pos}"
+            )
+            continue
+        # Valid, acknowledged records follow the damage: refuse, and
+        # leave the file exactly as found.
+        work = _install(base, wal_name, bytes(blob), tmp_path / f"x{n}")
+        with pytest.raises(StoreCorruption):
+            DurablePHTree.open(work, value_codec=U64ValueCodec)
+        with open(os.path.join(work, wal_name), "rb") as f:
+            assert f.read() == bytes(blob), f"bit-flip at byte {pos}"
+
+
+def test_mid_log_bitflip_refuses_and_keeps_the_wal(tmp_path):
+    """1,000 group-committed records; one bit flipped at byte 200 of the
+    WAL.  Open must raise StoreCorruption instead of truncating the 990-
+    odd acknowledged records behind the damage."""
+    path = str(tmp_path / "db")
+    store = DurablePHTree.open(
+        path, dims=3, width=16, value_codec=U64ValueCodec
+    )
+    store.put_all([((i, i * 7 % 65536, i * 13 % 65536), i)
+                   for i in range(1000)])
+    store.close()
+    wal_path = os.path.join(path, "wal-00000000.log")
+    blob = bytearray(open(wal_path, "rb").read())
+    blob[200] ^= 0x01
+    with open(wal_path, "wb") as f:
+        f.write(bytes(blob))
+    with pytest.raises(StoreCorruption, match="byte"):
+        DurablePHTree.open(path, value_codec=U64ValueCodec)
+    assert os.path.getsize(wal_path) == len(blob)
+    assert open(wal_path, "rb").read() == bytes(blob)
+    # Restoring the byte restores every record.
+    blob[200] ^= 0x01
+    with open(wal_path, "wb") as f:
+        f.write(bytes(blob))
+    store = DurablePHTree.open(path, value_codec=U64ValueCodec)
+    try:
+        assert len(store) == 1000
+    finally:
+        store.close()
 
 
 def test_garbage_wal_recovers_to_flushed_half(base_store, tmp_path):

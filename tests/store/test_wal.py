@@ -13,6 +13,7 @@ from repro.store.wal import (
     OP_PUT,
     OP_UPD,
     RecordCodec,
+    StoreCorruption,
     WriteAheadLog,
     frame,
     scan_frames,
@@ -61,6 +62,49 @@ def test_scan_stops_at_crc_mismatch():
     payloads, end = scan_frames(bytes(blob))
     assert payloads == [b"alpha"]
     assert end == len(frame(b"alpha"))
+
+
+def test_scan_raises_on_damage_before_valid_records():
+    codec = RecordCodec(dims=2, width=16, value_bits=64)
+    frames = [frame(codec.encode_put(seq, (seq, seq), seq)) for seq in (1, 2, 3)]
+    clean = b"".join(frames)
+    for pos in range(len(frames[0]) + len(frames[1])):
+        blob = bytearray(clean)
+        blob[pos] ^= 0x04
+        with pytest.raises(StoreCorruption):
+            scan_frames(bytes(blob))
+    # Damage in the final frame is still a torn tail.
+    blob = bytearray(clean)
+    blob[-1] ^= 0x04
+    payloads, end = scan_frames(bytes(blob))
+    assert len(payloads) == 2 and end == len(frames[0]) + len(frames[1])
+
+
+def test_scan_ignores_stale_sequence_after_damage():
+    """A valid frame whose seq does not continue the log (not above the
+    last good record) is no evidence of lost writes."""
+    codec = RecordCodec(dims=2, width=16, value_bits=64)
+    good = frame(codec.encode_put(5, (1, 1), 1))
+    stale = frame(codec.encode_put(4, (2, 2), 2))
+    damaged = bytearray(frame(codec.encode_put(6, (3, 3), 3)))
+    damaged[-1] ^= 0x01
+    payloads, end = scan_frames(good + bytes(damaged) + stale)
+    assert len(payloads) == 1 and end == len(good)
+
+
+def test_open_leaves_mid_log_damage_untouched(tmp_path):
+    path = str(tmp_path / "wal.log")
+    codec = RecordCodec(dims=2, width=16, value_bits=64)
+    wal = WriteAheadLog.create(path)
+    wal.append([codec.encode_put(seq, (seq, 0), seq) for seq in (1, 2, 3)])
+    wal.close()
+    blob = bytearray(open(path, "rb").read())
+    blob[10] ^= 0x20
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+    with pytest.raises(StoreCorruption):
+        WriteAheadLog.open(path)
+    assert open(path, "rb").read() == bytes(blob)
 
 
 def test_record_codec_roundtrip():

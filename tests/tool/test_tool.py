@@ -132,12 +132,12 @@ class TestShardedQuery:
         sharded = self._run(index_file, capsys, "--shards", "4")
         assert sharded == serial
 
-    def test_worker_fanout_matches_serial(self, index_file, capsys):
-        serial = self._run(index_file, capsys)
-        fanned = self._run(
-            index_file, capsys, "--shards", "2", "--workers", "1"
-        )
-        assert fanned == serial
+    def test_workers_flag_is_a_usage_error(self, index_file, capsys):
+        # Every read runs in-process; there is no process-pool option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", str(index_file), *self.BOX, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_bad_shard_count(self, index_file, capsys):
         rc = main(
@@ -321,17 +321,14 @@ class TestMetrics:
                 str(index_file),
                 "--shards",
                 "4",
-                "--workers",
-                "1",
             ]
         )
         captured = capsys.readouterr()
         assert rc == 0
         text = captured.out
         assert 'repro_shard_ops_total{shard="0", op="query"}' in text
-        assert "repro_snapshot_republish_total" in text
-        assert "repro_snapshot_stale_invalidations_total" in text
-        assert 'repro_fanout_tasks_total{op="query"}' in text
+        assert 'repro_shard_ops_total{shard="0", op="put"}' in text
+        assert 'repro_shard_lock_wait_seconds_count{mode="read"}' in text
 
 
 class TestVerbosity:
@@ -496,28 +493,6 @@ class TestExplainWaterfall:
         assert "route" in captured.out
         assert "scan" in captured.out
         assert "301 point(s) in box" in captured.err
-
-    def test_worker_explain_includes_remote_spans(
-        self, index_file, capsys
-    ):
-        rc = main(
-            [
-                "query",
-                str(index_file),
-                "-b",
-                "-10,40 : 10,50",
-                "--shards",
-                "2",
-                "--workers",
-                "1",
-                "--explain",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "span waterfall" in captured.out
-        assert "fanout" in captured.out
-        assert "attach" in captured.out
 
     def test_serial_explain_keeps_node_trace(self, index_file, capsys):
         rc = main(
