@@ -10,19 +10,20 @@ PRs must not regress the recorded speedups.
 
 Measured (best of ``repeats`` runs each, CUBE-distributed integer keys):
 
-- ``insert``: sequential ``put`` loop (specialized kernels), plus the
-  generic-engine twin (``specialize=False``) as its baseline,
+- ``insert``: sequential ``put`` loop on the object engine, plus the
+  arena engine with its generated kernels and with ``specialize=False``
+  (the ``*_generic`` baseline of the ``speedup_spec_*`` records),
 - ``delete``: sequential ``remove`` loop draining a freshly built tree,
 - ``bulk_load``: the bottom-up builder over the same entry set,
-- ``point_seq``: sequential ``get`` per key over a z-sorted batch
-  (specialized), plus the generic-engine twin,
+- ``point_seq``: sequential ``get`` per key over a z-sorted batch, on
+  the same three trees,
 - ``point_batch`` / ``point_batch_presorted``: the same batch through
   :meth:`PHTree.get_many` (with and without the internal sort),
-- ``range_kernel`` vs ``range_generator``: the *generic* iterative
+- ``range_kernel`` vs ``range_generator``: the object engine's iterative
   range-scan kernel against the seed generator-stack engine, on
   Figure-9-style window queries (normalised per returned entry),
-- ``range_spec``: the same boxes through the per-(k, width) specialized
-  kernel (see :mod:`repro.core.specialize`),
+- ``range_generic``: the same boxes on the arena tree with
+  ``specialize=False`` (the baseline of ``speedup_spec_window``),
 - ``query_many``: the batched window engine over the same boxes,
 - ``knn``: 10-nearest-neighbour queries,
 - ``sharded_query``: the same box batch through an in-process
@@ -31,24 +32,29 @@ Measured (best of ``repeats`` runs each, CUBE-distributed integer keys):
   reads),
 - ``*_arena``: the flat-buffer arena engine (``layout="arena"``) run
   over the same workloads -- insert, delete, point (sequential and
-  batched), window queries and ``freeze()`` -- against the object
-  engine, plus a ``space`` section with real bytes-per-entry for both
-  mutable layouts (``repro.memory.report.arena_space_report``),
-- ``frozen_point`` / ``frozen_window`` / ``frozen_knn`` against their
-  ``learned_*`` twins: the frozen snapshot's exact bit-stream descent
-  vs the model-seeded bisect over the *same* blob (the PHL1 learned
-  trailer from :mod:`repro.learned`, attached twice -- once with the
-  trailer ignored), with parity asserted before timing,
+  batched) and window queries -- against the object engine, plus a
+  ``space`` section with real bytes-per-entry for both mutable layouts
+  (``repro.memory.report.arena_space_report``),
+- ``freeze``: the arena's straight-from-slab freeze against the path it
+  replaces on the same tree (materialise ``tree.root``, then
+  :func:`~repro.core.serialize.emit_node`), plus the object tree's
+  freeze as ``freeze_object_ms``,
+- ``frozen_point`` / ``frozen_window`` against their ``learned_*``
+  twins: the frozen snapshot's exact bit-stream descent vs the
+  model-seeded bisect over the *same* blob (the PHL1 learned trailer
+  from :mod:`repro.learned`, attached twice -- once with the trailer
+  ignored), with parity asserted before timing; ``frozen_knn`` is the
+  frozen snapshot's exact kNN,
 - ``router_balance``: shard-population imbalance of the fixed z-prefix
   router vs the learned CDF router on prefix-skewed CLUSTER keys.
 
 Derived speedups are the acceptance numbers: ``speedup_get_many`` /
 ``speedup_range_iter`` (batching and the iterative kernel against the
 seed engine), and ``speedup_spec_insert`` / ``speedup_spec_point`` /
-``speedup_spec_window`` (the specialized kernels against the generic
-engines they replaced on the hot path -- every workload first asserts
-the two produce identical results), and ``speedup_learned_frozen_point``
-/ ``speedup_learned_window_seek`` / ``speedup_learned_frozen_knn`` (the
+``speedup_spec_window`` (the arena engine's generated kernels against
+its generic engines, ``specialize=False`` -- every workload first
+asserts the two produce identical results), and
+``speedup_learned_frozen_point`` / ``speedup_learned_window_seek`` (the
 learned z-address model against the exact frozen descent).
 
 Usage::
@@ -318,11 +324,11 @@ def run_trajectory(
         for _ in range(params["n_knn"])
     ]
 
-    # -- insert: specialized kernels vs the generic engines --------------
+    # -- insert: object engine, arena generated kernels, arena generic ----
     def build() -> PHTree:
-        # The object engine is the comparison baseline for every
-        # speedup_arena_* record; pin it now that "arena" is the
-        # session default layout.
+        # The object engine is the comparison baseline for the
+        # speedup_arena_* records (freeze aside); pin it now that
+        # "arena" is the session default layout.
         tree = PHTree(dims=DIMS, width=WIDTH, layout="object")
         put = tree.put
         for key, value in zip(keys, values):
@@ -331,7 +337,7 @@ def run_trajectory(
 
     def build_generic() -> PHTree:
         tree = PHTree(
-            dims=DIMS, width=WIDTH, specialize=False, layout="object"
+            dims=DIMS, width=WIDTH, specialize=False, layout="arena"
         )
         put = tree.put
         for key, value in zip(keys, values):
@@ -413,7 +419,7 @@ def run_trajectory(
 
     # -- range queries: iterative kernel vs seed generator engine --------
     root = tree.root
-    spec = tree.specialization
+    spec = tree_arena.specialization
 
     def run_range(engine: Callable) -> int:
         total = 0
@@ -422,52 +428,60 @@ def run_trajectory(
                 total += 1
         return total
 
-    def run_range_spec() -> int:
+    def run_range_tree(target: PHTree) -> int:
         total = 0
         for lo, hi in boxes:
-            for _ in range_iter(root, lo, hi, spec):
-                total += 1
-        return total
-
-    def run_range_arena() -> int:
-        total = 0
-        for lo, hi in boxes:
-            for _ in tree_arena.query(lo, hi):
+            for _ in target.query(lo, hi):
                 total += 1
         return total
 
     returned = run_range(range_iter)
     assert returned == run_range(generator_range_iter)
-    assert returned == run_range_arena()
-    # Bit-identical output (entries AND order) from the specialized twin.
+    assert returned == run_range_tree(tree_arena)
+    # Bit-identical output (entries AND order) from the generated twin.
     for lo, hi in boxes[: min(8, len(boxes))]:
-        assert list(range_iter(root, lo, hi, spec)) == list(
-            range_iter(root, lo, hi)
+        assert list(tree_arena.query(lo, hi)) == list(
+            tree_generic.query(lo, hi)
         )
     (
         t_range_kernel,
-        t_range_spec,
+        t_range_generic,
         t_range_generator,
         t_query_many,
         t_range_arena,
     ) = _best_group(
         [
             lambda: run_range(range_iter),
-            run_range_spec,
+            lambda: run_range_tree(tree_generic),
             lambda: run_range(generator_range_iter),
             lambda: tree.query_many(boxes),
-            run_range_arena,
+            lambda: run_range_tree(tree_arena),
         ],
         repeats,
     )
 
-    # -- freeze: per-node object walk vs straight-from-slab copy ---------
+    # -- freeze: straight-from-slab copy vs materialise-then-emit --------
+    # The slab walk replaced materialising the arena tree's Node graph
+    # (tree.root) and emitting it; that is the path it is gated
+    # against.  The object tree's freeze walks a graph that already
+    # exists, so it is recorded but not compared.
     from repro.core.frozen import freeze
     from repro.core.serialize import U64ValueCodec as _U64
+    from repro.core.serialize import emit_node
+
+    def freeze_materialized() -> Tuple[int, int]:
+        return emit_node(tree_arena.root, WIDTH, DIMS, _U64, frozen=True)
 
     assert freeze(tree, _U64) == freeze(tree_arena, _U64)
-    t_freeze_object, t_freeze_arena = _best_group(
-        [lambda: freeze(tree, _U64), lambda: freeze(tree_arena, _U64)],
+    assert freeze_materialized() == emit_node(
+        tree.root, WIDTH, DIMS, _U64, frozen=True
+    )
+    t_freeze_object, t_freeze_materialized, t_freeze_arena = _best_group(
+        [
+            lambda: freeze(tree, _U64),
+            freeze_materialized,
+            lambda: freeze(tree_arena, _U64),
+        ],
         repeats,
     )
 
@@ -562,23 +576,12 @@ def run_trajectory(
         repeats,
     )
 
-    for query in knn_queries[: min(8, len(knn_queries))]:
-        assert frozen_learned.knn(query, 10) == frozen_exact.knn(
-            query, 10
-        )
-
-    def run_frozen_knn(frozen: FrozenPHTree) -> None:
-        knn = frozen.knn
+    def run_frozen_knn() -> None:
+        knn = frozen_exact.knn
         for query in knn_queries:
             knn(query, 10)
 
-    t_frozen_knn, t_learned_knn = _best_group(
-        [
-            lambda: run_frozen_knn(frozen_exact),
-            lambda: run_frozen_knn(frozen_learned),
-        ],
-        repeats,
-    )
+    t_frozen_knn = _best(run_frozen_knn, repeats)
     model_stats = model.stats()
 
     # -- router balance: fixed z-prefix cuts vs the learned CDF ----------
@@ -712,7 +715,7 @@ def run_trajectory(
             t_point_batch_pre * 1e6 / n_keys
         ),
         "range_kernel_us_per_entry": t_range_kernel * 1e6 / n_returned,
-        "range_spec_us_per_entry": t_range_spec * 1e6 / n_returned,
+        "range_generic_us_per_entry": t_range_generic * 1e6 / n_returned,
         "range_generator_us_per_entry": (
             t_range_generator * 1e6 / n_returned
         ),
@@ -720,8 +723,9 @@ def run_trajectory(
         "knn_us_per_query": t_knn * 1e6 / max(len(knn_queries), 1),
         # Frozen reads: the exact bit-stream descent vs the learned
         # model-seeded bisect over the SAME bytes (one blob, attached
-        # twice).  Windows and kNN use the model for the scan start /
-        # search seed and fall back to the exact walk past the bound.
+        # twice).  Windows use the model for the scan start and fall
+        # back to the exact walk past the bound; kNN is the exact
+        # best-first search only.
         "frozen_point_us_per_op": t_frozen_point * 1e6 / n_keys,
         "learned_frozen_point_us_per_op": (
             t_learned_point * 1e6 / n_keys
@@ -735,9 +739,6 @@ def run_trajectory(
         "frozen_knn_us_per_query": (
             t_frozen_knn * 1e6 / max(len(knn_queries), 1)
         ),
-        "learned_frozen_knn_us_per_query": (
-            t_learned_knn * 1e6 / max(len(knn_queries), 1)
-        ),
         "frozen_window_seek_us_per_query": (
             t_frozen_seek * 1e6 / max(len(seek_boxes), 1)
         ),
@@ -748,7 +749,6 @@ def run_trajectory(
         "speedup_learned_frozen_point": t_frozen_point / t_learned_point,
         "speedup_learned_window_seek": t_frozen_seek / t_learned_seek,
         "speedup_learned_window": t_frozen_window / t_learned_window,
-        "speedup_learned_frozen_knn": t_frozen_knn / t_learned_knn,
         # Shard routing balance on prefix-skewed CLUSTER data (keys in
         # the lowest quarter of every dimension): 1.0 is perfect, the
         # shard count is the worst case (everything in one shard).
@@ -758,11 +758,11 @@ def run_trajectory(
         "speedup_get_many_presorted": t_point_seq / t_point_batch_pre,
         "speedup_range_iter": t_range_generator / t_range_kernel,
         "speedup_query_many": t_range_kernel / t_query_many,
-        # Specialized kernels vs the generic engines they replace
+        # The arena engine's generated kernels vs its generic engines
         # (same tree contents, results asserted identical above).
-        "speedup_spec_insert": t_insert_generic / t_insert,
-        "speedup_spec_point": t_point_seq_generic / t_point_seq,
-        "speedup_spec_window": t_range_kernel / t_range_spec,
+        "speedup_spec_insert": t_insert_generic / t_insert_arena,
+        "speedup_spec_point": t_point_seq_generic / t_point_seq_arena,
+        "speedup_spec_window": t_range_generic / t_range_arena,
         "speedup_bulk_load_vs_insert": t_insert / t_bulk,
         "sharded_query_us_per_entry": t_sharded * 1e6 / n_returned,
         "speedup_sharded_vs_one_tree": t_one_tree / t_sharded,
@@ -777,6 +777,7 @@ def run_trajectory(
         ),
         "range_arena_us_per_entry": t_range_arena * 1e6 / n_returned,
         "freeze_object_ms": t_freeze_object * 1e3,
+        "freeze_materialized_ms": t_freeze_materialized * 1e3,
         "freeze_arena_ms": t_freeze_arena * 1e3,
         "speedup_arena_insert": t_insert / t_insert_arena,
         "speedup_arena_delete": t_delete / t_delete_arena,
@@ -785,7 +786,7 @@ def run_trajectory(
             t_point_batch / t_point_batch_arena
         ),
         "speedup_arena_window": t_range_kernel / t_range_arena,
-        "speedup_arena_freeze": t_freeze_object / t_freeze_arena,
+        "speedup_arena_freeze": t_freeze_materialized / t_freeze_arena,
         # Durable store: the WAL fsync-per-put path vs the group
         # commit, and the cost of crash recovery (mmap segments +
         # replay the WAL tail) per stored entry.
@@ -836,10 +837,10 @@ def run_trajectory(
             "registry_size": _registry_size(),
             "registry_cap": _registry_cap(),
             "note": (
-                "per-(k, width) unrolled kernels from "
-                "repro.core.specialize; the *_generic and range_kernel "
-                "records time the pre-specialization engines on the "
-                "same data"
+                "per-(k, width) generated arena kernels from "
+                "repro.core.specialize; the *_generic records time the "
+                "arena layout with specialize=False on the same data "
+                "(the object layout has no generated kernels)"
             ),
         },
         "sharded_query": {

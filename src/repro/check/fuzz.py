@@ -5,12 +5,14 @@ One :func:`run_fuzz` call drives a single randomized operation sequence
 get_many / knn / query_many / contains_many / knn_burst / bulk_load)
 simultaneously against
 
-- a generic :class:`~repro.core.phtree.PHTree` (``specialize=False``),
-- a specialized :class:`~repro.core.phtree.PHTree` (the per-(k, width)
-  generated kernels),
+- an object :class:`~repro.core.phtree.PHTree` (``layout="object"``:
+  one Python object per node, the unspecialized engine that also serves
+  width > 64 and dims > 63),
 - an arena :class:`~repro.core.arena_tree.ArenaPHTree`
-  (``layout="arena"``: the packed flat-buffer engine, running the same
-  ops in lockstep against the object engines),
+  (``layout="arena"``: the packed flat-buffer engine with its
+  per-(k, width) generated kernels),
+- a second arena tree with ``specialize=False`` (the generic arena
+  engines the generated kernels are twins of),
 - a :class:`~repro.parallel.sharded.ShardedPHTree` (live, lock-per-shard
   engine), and with ``FuzzConfig.learned`` a second sharded tree routed
   by learned equi-mass z-cuts
@@ -23,8 +25,9 @@ type -- is diffed against the model; every ``validate_every`` ops each
 tree additionally passes the full structural validator of
 :mod:`repro.check.validate` (frozen byte-stream round-trip included).
 The sequence alternates the :mod:`repro.obs.runtime` enabled flag so
-both engine dispatches (specialized fast paths and instrumented generic
-twins) are exercised in the same run.
+both dispatches of the generated kernels (plain and instrumented twins)
+and both counter states of the generic engines are exercised in the
+same run.
 
 Everything is derived from ``FuzzConfig.seed``: the op sequence is
 generated *upfront* as concrete tuples, so a failing run shrinks (greedy
@@ -451,21 +454,24 @@ def _build_subjects(
 ) -> List[Tuple[str, Any]]:
     """Fresh engines pre-loaded with ``items``.
 
-    The generic tree is grown by incremental puts while the specialized
+    The generic arena tree is grown by incremental puts while the object
     tree, the arena tree and the sharded tree go through their bulk
     builders -- layout is a pure function of the key set, so all four
     must then behave identically (that equivalence is part of what the
     run checks).
     """
-    generic = PHTree(
-        dims=config.dims, width=config.width, specialize=False
+    obj = bulk_load(
+        list(items), config.dims, config.width, layout="object"
     )
-    for key, value in items:
-        generic.put(key, value)
-    spec = bulk_load(list(items), config.dims, config.width)
     arena = bulk_load(
         list(items), config.dims, config.width, layout="arena"
     )
+    generic = PHTree(
+        dims=config.dims, width=config.width, specialize=False,
+        layout="arena",
+    )
+    for key, value in items:
+        generic.put(key, value)
     sharded = ShardedPHTree.build(
         list(items),
         dims=config.dims,
@@ -473,9 +479,9 @@ def _build_subjects(
         shards=config.shards,
     )
     subjects = [
-        ("generic", generic),
-        ("spec", spec),
+        ("object", obj),
         ("arena", arena),
+        ("arena-generic", generic),
         ("sharded", sharded),
     ]
     if config.learned:

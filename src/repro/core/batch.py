@@ -32,6 +32,14 @@ The z-order sort key interleaves only the top byte of every coordinate
 significant bits, so that cheap prefix of the full Morton code already
 yields almost all of the locality, and the walk stays correct under any
 batch order -- the sort is purely a performance hint.
+
+The object layout has one function per batched operation here: no
+per-(k, width) specialization and no instrumented twin.  Counters live
+in locals and are published only when :mod:`repro.obs.runtime` is
+enabled.  The ``arena_*`` functions are the generic arena engines: the
+references for the generated slab kernels of
+:mod:`repro.core.specialize`, which they dispatch to, and the path for
+k > 32.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
-from repro.core.kernel import iter_subtree
+from repro.core.kernel import iter_subtree, range_scan
 from repro.core.node import Node
 from repro.encoding.lut import spread_table as _spread_table
 from repro.obs import probes as _probes
@@ -162,29 +170,18 @@ def get_many(
     (approximate) z-order to skip the internal sort -- any order stays
     correct, sorting is purely a locality hint.
 
-    Trees carrying a per-(k, width) specialization (``tree._spec``,
-    see :mod:`repro.core.specialize`) run its unrolled twin of this
-    merge-join; results and probe counts are bit-identical (pinned by
-    the parity tests).
+    This is the object layout's only merge-join.  Counters accumulate
+    in locals and are published only when observability is enabled:
+    ``batch_nodes_visited`` counts *path pushes* (a node shared by
+    consecutive keys counts once), so its ratio to
+    ``len(batch) * depth`` measures descent sharing.
     """
-    spec = getattr(tree, "_spec", None)
-    if _rt.enabled:
-        if spec is not None:
-            return spec.get_many_instrumented(tree, keys, default, presorted)
-        return _get_many_instrumented(tree, keys, default, presorted)
-    if spec is not None:
-        return spec.get_many_plain(tree, keys, default, presorted)
-    return _get_many_plain(tree, keys, default, presorted)
-
-
-def _get_many_plain(
-    tree: Any,
-    keys: Iterable[Sequence[int]],
-    default: Any = None,
-    presorted: bool = False,
-) -> List[Any]:
     checked, codes = _prepare(tree, keys, not presorted)
     n = len(checked)
+    obs = _rt.enabled
+    if obs:
+        _probes.ops_get_many.inc()
+        _probes.batch_keys_get.inc(n)
     results = [default] * n
     root = tree._root
     if root is None or n == 0:
@@ -194,6 +191,8 @@ def _get_many_plain(
     else:
         order = sorted(range(n), key=codes.__getitem__)
 
+    c_nodes = 1  # the root frame
+    c_slots = 0
     node_cls = Node
     # The current root-to-leaf path; each frame caches the node's
     # prefix-check operands so ascents touch no attributes.
@@ -218,89 +217,6 @@ def _get_many_plain(
             pop()
             node, shift, prefix = path[-1]
         # Descend the levels the previous key did not already resolve.
-        while True:
-            post = shift - 1
-            a = 0
-            for v in key:
-                a = (a << 1) | ((v >> post) & 1)
-            cont = node.container
-            if cont.is_hc:
-                slot = cont._slots[a]
-            else:
-                addrs = cont._addresses
-                p = bisect_left(addrs, a)
-                slot = (
-                    cont._slots[p]
-                    if p < len(addrs) and addrs[p] == a
-                    else None
-                )
-            if slot is None:
-                break
-            if slot.__class__ is node_cls:
-                cshift = slot.post_len + 1
-                cprefix = slot.prefix
-                matches = True
-                for v, pref in zip(key, cprefix):
-                    if (v ^ pref) >> cshift:
-                        matches = False
-                        break
-                if not matches:
-                    break
-                node = slot
-                shift = cshift
-                prefix = cprefix
-                push((node, shift, prefix))
-                continue
-            if slot.key == key:
-                results[i] = slot.value
-            break
-    return results
-
-
-def _get_many_instrumented(
-    tree: Any,
-    keys: Iterable[Sequence[int]],
-    default: Any = None,
-    presorted: bool = False,
-) -> List[Any]:
-    """Instrumented twin of :func:`_get_many_plain`: same merge-join
-    walk, plus batch counters.  ``batch_nodes_visited`` counts *path
-    pushes* (a node shared by consecutive keys counts once), so the
-    ratio to ``len(batch) * depth`` measures descent sharing."""
-    checked, codes = _prepare(tree, keys, not presorted)
-    n = len(checked)
-    _probes.ops_get_many.inc()
-    _probes.batch_keys_get.inc(n)
-    results = [default] * n
-    root = tree._root
-    if root is None or n == 0:
-        return results
-    if presorted:
-        order: Iterable[int] = range(n)
-    else:
-        order = sorted(range(n), key=codes.__getitem__)
-
-    c_nodes = 1  # the root frame
-    c_slots = 0
-    node_cls = Node
-    path: List[Tuple[Node, int, Key]] = [
-        (root, root.post_len + 1, root.prefix)
-    ]
-    push = path.append
-    pop = path.pop
-    node, shift, prefix = path[0]
-    for i in order:
-        key = checked[i]
-        while True:
-            matches = True
-            for v, pref in zip(key, prefix):
-                if (v ^ pref) >> shift:
-                    matches = False
-                    break
-            if matches:
-                break
-            pop()
-            node, shift, prefix = path[-1]
         while True:
             c_slots += 1
             post = shift - 1
@@ -339,8 +255,9 @@ def _get_many_instrumented(
             if slot.key == key:
                 results[i] = slot.value
             break
-    _probes.batch_nodes_visited.inc(c_nodes)
-    _probes.batch_slots_scanned.inc(c_slots)
+    if obs:
+        _probes.batch_nodes_visited.inc(c_nodes)
+        _probes.batch_slots_scanned.inc(c_slots)
     return results
 
 
@@ -354,13 +271,14 @@ def contains_many(
 
 
 #: Below this many boxes the batched shared walk loses to simply
-#: running the specialized per-box window kernel back to back: the
-#: walk's per-node bookkeeping (per-box mask lists, the active-set
-#: narrowing) only amortises once enough boxes share paths.  Measured
-#: at the bench shape (dims=3, width=20, 10k keys, 200 boxes) the
-#: shared walk ran at ~0.87x the sequential kernel; the cutover keeps
-#: small batches on the sequential path.  Instrumented runs always take
-#: the shared walk so the query_many counters stay meaningful.
+#: running the per-box window kernel back to back: the walk's per-node
+#: bookkeeping (per-box mask lists, the active-set narrowing) only
+#: amortises once enough boxes share paths.  Measured at the bench
+#: shape (dims=3, width=20, 10k keys, 200 boxes) the shared walk ran at
+#: ~0.87x the generated arena kernel and ~0.85x the object layout's
+#: :func:`~repro.core.kernel.range_scan`; the cutover keeps small
+#: batches on the sequential path.  Instrumented runs always take the
+#: shared walk so the query_many counters stay meaningful.
 QUERY_MANY_SEQ_CUTOVER = 512
 
 
@@ -374,8 +292,8 @@ def query_many(
 
     Each result list is exactly ``list(tree.query(lo, hi))`` -- same
     entries, same (z-)order.  Small batches (up to
-    :data:`QUERY_MANY_SEQ_CUTOVER` boxes) run the specialized window
-    kernel sequentially per box; larger batches walk the tree once for
+    :data:`QUERY_MANY_SEQ_CUTOVER` boxes) run the window kernel
+    sequentially per box; larger batches walk the tree once for
     the whole batch, with the set of still-active boxes narrowing on
     the way down.  ``use_masks`` exists for API symmetry with
     ``query``; both batched paths always use masks (results are
@@ -388,22 +306,19 @@ def query_many(
     if _rt.enabled:
         _probes.ops_query_many.inc()
         _probes.batch_keys_query.inc(len(checked))
-    else:
-        spec = tree._spec
-        if spec is not None and len(checked) <= QUERY_MANY_SEQ_CUTOVER:
-            root = tree._root
-            if root is None:
-                return [[] for _ in checked]
-            scan = spec.range_scan_plain
-            out: List[List[Tuple[Key, Any]]] = []
-            for lo, hi in checked:
-                for lo_v, hi_v in zip(lo, hi):
-                    if lo_v > hi_v:
-                        out.append([])
-                        break
-                else:
-                    out.append(list(scan(root, lo, hi)))
-            return out
+    elif len(checked) <= QUERY_MANY_SEQ_CUTOVER:
+        root = tree._root
+        if root is None:
+            return [[] for _ in checked]
+        out: List[List[Tuple[Key, Any]]] = []
+        for lo, hi in checked:
+            for lo_v, hi_v in zip(lo, hi):
+                if lo_v > hi_v:
+                    out.append([])
+                    break
+            else:
+                out.append(list(range_scan(root, lo, hi)))
+        return out
     results: List[List[Tuple[Key, Any]]] = [[] for _ in checked]
     root = tree._root
     if root is None:

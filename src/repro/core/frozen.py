@@ -615,43 +615,12 @@ class FrozenPHTree:
         """Number of entries in the inclusive box."""
         return sum(1 for _ in self.query(box_min, box_max))
 
-    def _knn_seed_bound(self, key: Tuple[int, ...], n: int) -> Optional[int]:
-        """Upper bound on the n-th nearest squared distance, seeded by
-        the learned model: jump to the query's z-rank, take the 2n
-        z-adjacent entries, and use their n-th smallest exact distance.
-        Admissible by construction (the bound is a real distance to n
-        real entries), so pruning strictly-greater candidates cannot
-        change the result set or its tie order."""
-        model = self._learned
-        if model is None or self._size < n:
-            return None
-        max_v = (1 << self._width) - 1
-        clamped = tuple(min(max(v, 0), max_v) for v in key)
-        z_of, un_z = self._learned_fns()
-        rank, _err, _fb = model.seek(z_of(clamped))
-        lo = rank - n if rank >= n else 0
-        hi = min(self._size, lo + 2 * n)
-        if hi - lo < n:
-            lo = max(0, hi - n)
-        if hi - lo < n:
-            return None
-        if _rt.enabled:
-            _probes.learned_lookups_knn.inc()
-            _probes.learned_segments_consulted.inc()
-        dists = sorted(
-            _point_dist_sq(key, un_z(model.z_at(i))) for i in range(lo, hi)
-        )
-        return dists[n - 1]
-
     def knn(
         self, key: Sequence[int], n: int = 1
     ) -> List[Tuple[Tuple[int, ...], Any]]:
         """``n`` nearest entries by Euclidean distance in key space,
         computed directly on the byte stream (best-first branch and
-        bound over node regions, like the live tree's search).  When a
-        learned trailer is attached, the search is seeded with an exact
-        distance bound from the query's z-neighbourhood, which prunes
-        most heap traffic without affecting results."""
+        bound over node regions, like the live tree's search)."""
         import heapq
 
         key = tuple(key)
@@ -662,7 +631,6 @@ class FrozenPHTree:
         if n <= 0 or self._size == 0:
             return []
 
-        bound = self._knn_seed_bound(key, n)
         z_of = self._learned_fns()[0]
         seq = 0
         # Heap items: (dist, z, seq, kind, payload); kind 0 = node
@@ -710,36 +678,33 @@ class FrozenPHTree:
                     child_dist = _region_dist_sq(
                         key, child_prefix, post_len - 1 if post_len else 0
                     )
-                    if bound is None or child_dist <= bound:
-                        seq += 1
-                        heapq.heappush(
-                            heap,
-                            (
-                                child_dist,
-                                z_of(child_prefix),
-                                seq,
-                                0,
-                                child_context,
-                            ),
-                        )
+                    seq += 1
+                    heapq.heappush(
+                        heap,
+                        (
+                            child_dist,
+                            z_of(child_prefix),
+                            seq,
+                            0,
+                            child_context,
+                        ),
+                    )
                     pos += body
                 else:
                     entry_key, value, pos = self._entry_at(
                         pos, post_len, prefix, address
                     )
-                    entry_dist = _point_dist_sq(key, entry_key)
-                    if bound is None or entry_dist <= bound:
-                        seq += 1
-                        heapq.heappush(
-                            heap,
-                            (
-                                entry_dist,
-                                z_of(entry_key),
-                                seq,
-                                1,
-                                (entry_key, value),
-                            ),
-                        )
+                    seq += 1
+                    heapq.heappush(
+                        heap,
+                        (
+                            _point_dist_sq(key, entry_key),
+                            z_of(entry_key),
+                            seq,
+                            1,
+                            (entry_key, value),
+                        ),
+                    )
         return results
 
     # -- conversion ---------------------------------------------------------------

@@ -30,6 +30,15 @@ the per-entry containment check) and -- through :func:`iter_slots` and
 :func:`iter_subtree` -- the kNN engine's region visits and full-tree
 iteration.  Traversal order is z-order (ascending hypercube address,
 depth first), bit-identical to the seed engine.
+
+:func:`range_scan` is the object layout's one window-scan function: it
+has no per-(k, width) specialization and no separate instrumented twin.
+Its traversal counters live in locals and are published only when
+:mod:`repro.obs.runtime` is enabled.  The generic arena engine
+(:func:`_arena_range_scan_generic`) works the same way; it is the
+reference for the generated slab kernels of
+:mod:`repro.core.specialize` that :func:`arena_range_scan` dispatches
+to, and the path for k > 32.
 """
 
 from __future__ import annotations
@@ -107,7 +116,6 @@ def range_scan(
     box_min: Sequence[int],
     box_max: Sequence[int],
     slack_bits: int = 0,
-    spec: Any = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Any]]:
     """Yield all entries in the inclusive box, in z-order.
 
@@ -117,219 +125,9 @@ def range_scan(
     wholesale and entries are accepted within ``2**slack_bits - 1`` of
     the box, yielding a superset of the exact result.
 
-    ``spec`` is an optional per-(k, width)
-    :class:`~repro.core.specialize.Specialization`; when given, its
-    unrolled twin of this engine runs instead (bit-identical results and
-    probe counts, pinned by the parity tests).
-
-    The observability flag is checked exactly once per call: disabled
-    (the default), the uninstrumented engine below runs untouched;
-    enabled, the bit-identical instrumented twin
-    (:func:`_range_scan_instrumented`) runs instead and publishes its
-    traversal counts into :mod:`repro.obs.probes`.
-    """
-    if _rt.enabled:
-        if spec is not None:
-            return spec.range_scan_instrumented(
-                root, box_min, box_max, slack_bits
-            )
-        return _range_scan_instrumented(root, box_min, box_max, slack_bits)
-    if spec is not None:
-        return spec.range_scan_plain(root, box_min, box_max, slack_bits)
-    return _range_scan_plain(root, box_min, box_max, slack_bits)
-
-
-def _range_scan_plain(
-    root: Optional[Node],
-    box_min: Sequence[int],
-    box_max: Sequence[int],
-    slack_bits: int = 0,
-) -> Iterator[Tuple[Tuple[int, ...], Any]]:
-    """The uninstrumented engine (see :func:`range_scan`)."""
-    if root is None:
-        return
-    bmin = box_min if type(box_min) is tuple else tuple(box_min)
-    bmax = box_max if type(box_max) is tuple else tuple(box_max)
-    for lo, hi in zip(bmin, bmax):
-        if lo > hi:
-            return
-    k = len(bmin)
-    full = (1 << k) - 1
-    node_cls = Node
-    if slack_bits > 0:
-        slack = (1 << slack_bits) - 1
-        lo_chk = tuple(v - slack for v in bmin)
-        hi_chk = tuple(v + slack for v in bmax)
-    else:
-        lo_chk = bmin
-        hi_chk = bmax
-
-    # -- classify the root (never flushed, mirroring the seed engine) --
-    post = root.post_len
-    free = (1 << (post + 1)) - 1
-    ml = mh = 0
-    for nlo, lo, hi in zip(root.prefix, bmin, bmax):
-        nhi = nlo | free
-        if hi < nlo or lo > nhi:
-            return
-        if lo < nlo:
-            lo = nlo
-        if hi > nhi:
-            hi = nhi
-        ml = (ml << 1) | ((lo >> post) & 1)
-        mh = (mh << 1) | ((hi >> post) & 1)
-    cont = root.container
-    slots = cont._slots
-    limit = len(slots)
-    if cont.is_hc:
-        addrs = None
-        if ml == 0 and mh == full:
-            mode = _SCAN
-            cur = 0
-        else:
-            mode = _MASKED
-            cur = ml
-    else:
-        addrs = cont._addresses
-        if ml == 0 and mh == full:
-            mode = _SCAN
-            cur = 0
-        else:
-            mode = _MASKED
-            cur = bisect_left(addrs, ml)
-
-    stack = []
-    pop = stack.pop
-    push = stack.append
-
-    while True:
-        # ---- fetch the next occupied slot of the current frame ----
-        if mode == _MASKED:
-            if addrs is None:  # HC: successor-stepped address cursor
-                if cur < 0:
-                    if not stack:
-                        return
-                    slots, addrs, cur, ml, mh, mode, limit = pop()
-                    continue
-                a = cur
-                # Next valid address (paper Section 3.5), or done.
-                cur = -1 if a >= mh else ((((a | ~mh) + 1) & mh) | ml)
-                slot = slots[a]
-                if slot is None:
-                    continue
-            else:  # LHC: index cursor over the sorted address table
-                if cur >= limit:
-                    if not stack:
-                        return
-                    slots, addrs, cur, ml, mh, mode, limit = pop()
-                    continue
-                a = addrs[cur]
-                if a > mh:
-                    if not stack:
-                        return
-                    slots, addrs, cur, ml, mh, mode, limit = pop()
-                    continue
-                slot = slots[cur]
-                cur += 1
-                if (a | ml) != a or (a & mh) != a:
-                    continue
-        else:  # _FLUSH and _SCAN: plain slot scan
-            if cur >= limit:
-                if not stack:
-                    return
-                slots, addrs, cur, ml, mh, mode, limit = pop()
-                continue
-            slot = slots[cur]
-            cur += 1
-            if slot is None:
-                continue
-
-        # ---- process the slot ----
-        if slot.__class__ is node_cls:
-            if mode == _FLUSH:
-                push((slots, addrs, cur, ml, mh, mode, limit))
-                cont = slot.container
-                slots = cont._slots
-                addrs = None
-                cur = 0
-                limit = len(slots)
-                continue
-            # Fused intersection / coverage / mask computation.
-            cpost = slot.post_len
-            cfree = (1 << (cpost + 1)) - 1
-            cml = cmh = 0
-            inside = True
-            hit = True
-            for nlo, lo, hi in zip(slot.prefix, bmin, bmax):
-                nhi = nlo | cfree
-                if hi < nlo or lo > nhi:
-                    hit = False
-                    break
-                if nlo < lo or nhi > hi:
-                    inside = False
-                if lo < nlo:
-                    lo = nlo
-                if hi > nhi:
-                    hi = nhi
-                cml = (cml << 1) | ((lo >> cpost) & 1)
-                cmh = (cmh << 1) | ((hi >> cpost) & 1)
-            if not hit:
-                continue
-            push((slots, addrs, cur, ml, mh, mode, limit))
-            cont = slot.container
-            slots = cont._slots
-            limit = len(slots)
-            if inside or cpost < slack_bits:
-                # Fully covered (or within the approximation slack):
-                # flush the whole subtree with filtering disabled.
-                addrs = None
-                mode = _FLUSH
-                cur = 0
-            elif cont.is_hc:
-                addrs = None
-                if cml == 0 and cmh == full:
-                    mode = _SCAN
-                    cur = 0
-                else:
-                    mode = _MASKED
-                    ml = cml
-                    mh = cmh
-                    cur = cml
-            else:
-                addrs = cont._addresses
-                if cml == 0 and cmh == full:
-                    mode = _SCAN
-                    cur = 0
-                else:
-                    mode = _MASKED
-                    ml = cml
-                    mh = cmh
-                    cur = bisect_left(addrs, cml)
-            continue
-
-        # Entry (postfix).
-        if mode == _FLUSH:
-            yield slot.key, slot.value
-        else:
-            key = slot.key
-            for v, lo, hi in zip(key, lo_chk, hi_chk):
-                if v < lo or v > hi:
-                    break
-            else:
-                yield key, slot.value
-
-
-def _range_scan_instrumented(
-    root: Optional[Node],
-    box_min: Sequence[int],
-    box_max: Sequence[int],
-    slack_bits: int = 0,
-) -> Iterator[Tuple[Tuple[int, ...], Any]]:
-    """Line-for-line twin of :func:`_range_scan_plain` with traversal
-    counters (tests pin the two engines bit-identical; keep every
-    non-counter line in sync with the plain engine above).
-
-    Counts are accumulated in locals and published once -- in the
+    This is the object layout's only window-scan engine.  Traversal
+    counters accumulate in locals and are published into
+    :mod:`repro.obs.probes` only when observability is enabled -- in the
     ``finally`` clause, so abandoned generators still report the partial
     traversal they performed.
     """
@@ -539,18 +337,19 @@ def _range_scan_instrumented(
                     c_entries += 1
                     yield key, slot.value
     finally:
-        _probes.record_range_scan(
-            c_nodes,
-            c_hc,
-            c_frames,
-            c_slots,
-            c_flush,
-            c_plain,
-            c_maskrej,
-            c_noderej,
-            c_postdrop,
-            c_entries,
-        )
+        if _rt.enabled:
+            _probes.record_range_scan(
+                c_nodes,
+                c_hc,
+                c_frames,
+                c_slots,
+                c_flush,
+                c_plain,
+                c_maskrej,
+                c_noderej,
+                c_postdrop,
+                c_entries,
+            )
 
 
 def iter_arena_subtree(

@@ -67,11 +67,13 @@ class PHTree:
         Relaxed switching margin (fraction) preventing HC/LHC oscillation;
         0.0 reproduces the paper's plain size comparison.
     specialize:
-        Use the per-(k, width) unrolled hot-path kernels of
+        Use the per-(k, width) generated kernels of
         :mod:`repro.core.specialize` (default).  ``False`` pins the tree
-        to the generic loop-based engines (the pre-specialization paths,
-        kept as ablation baseline and correctness oracle).  Results are
-        bit-identical either way.
+        to the generic loop-based engines (kept as ablation baseline and
+        correctness oracle).  Results are bit-identical either way.  The
+        arena layout has generated point, scan and kNN kernels; the
+        object layout (this class) runs one unspecialized engine per
+        operation and takes only the Morton helpers from the bundle.
     layout:
         Storage engine: ``"object"`` (this class -- one Python object
         per node/entry) or ``"arena"`` (packed slab records addressed by
@@ -194,10 +196,10 @@ class PHTree:
         self._hysteresis = hc_hysteresis
         self._root: Optional[Node] = None
         self._size = 0
-        # Per-(k, width) unrolled hot-path kernels (None for shapes
-        # outside the specializable range, or when opted out -- the
-        # generic engines then serve every call).  The fused-validation
-        # fast path additionally requires a uniform per-dimension width.
+        # Per-(k, width) generated kernels (None for shapes outside the
+        # specializable range, or when opted out -- the generic engines
+        # then serve every call).  The arena's fused-validation fast
+        # path additionally requires a uniform per-dimension width.
         self._uniform = all(w == self._width for w in widths)
         self._spec = (
             spec_mod.get_spec(dims, self._width) if specialize else None
@@ -267,12 +269,6 @@ class PHTree:
                 )
         return key
 
-    # The specialized fast paths below validate with the generated fused
-    # check (spec.check_key) and fall back to _check_key for whatever it
-    # declines -- invalid keys (raising the exact sequential error) but
-    # also accepted corner cases the fast check does not claim (bool
-    # coordinates, int subclasses, non-uniform per-dimension widths).
-
     # -- point operations (paper Sections 3.5-3.6) --------------------------
 
     def put(self, key: Sequence[int], value: Any = None) -> Any:
@@ -282,17 +278,6 @@ class PHTree:
         At most two nodes are touched: the insertion node, plus possibly
         one newly created sub-node.
         """
-        spec = self._spec
-        if spec is not None and not _rt.enabled:
-            # Specialized write descent (unrolled per-(k, width) twin of
-            # the generic body below; bit-identical tree shapes, pinned
-            # by the property tests).  Observability-enabled calls take
-            # the generic instrumented path so probe counts are
-            # unchanged.
-            checked = spec.check_key(key) if self._uniform else None
-            if checked is None:
-                checked = self._check_key(key)
-            return spec.put(self, checked, value)
         key = self._check_key(key)
         obs = _rt.enabled
         if obs:
@@ -423,21 +408,11 @@ class PHTree:
 
     def get(self, key: Sequence[int], default: Any = None) -> Any:
         """Return the value stored for ``key``, or ``default``."""
-        spec = self._spec
-        if spec is not None and not _rt.enabled:
-            checked = spec.check_key(key) if self._uniform else None
-            if checked is None:
-                checked = self._check_key(key)
-            root = self._root
-            if root is None:
-                return default
-            entry = spec.find_entry(root, checked)
-            return default if entry is None else entry.value
         key = self._check_key(key)
         if _rt.enabled:
             _probes.ops_get.inc()
             t0 = _perf_counter()
-            entry = self._find_entry_counted(key)
+            entry = self._find_entry(key)
             _heat.record(
                 key, self._width, "get", _perf_counter() - t0
             )
@@ -449,20 +424,10 @@ class PHTree:
 
     def contains(self, key: Sequence[int]) -> bool:
         """Point query (paper Section 3.5): does ``key`` exist?"""
-        spec = self._spec
-        if spec is not None and not _rt.enabled:
-            checked = spec.check_key(key) if self._uniform else None
-            if checked is None:
-                checked = self._check_key(key)
-            root = self._root
-            if root is None:
-                return False
-            return spec.find_entry(root, checked) is not None
         key = self._check_key(key)
         if _rt.enabled:
             _probes.ops_contains.inc()
             _heat.record(key, self._width, "contains")
-            return self._find_entry_counted(key) is not None
         return self._find_entry(key) is not None
 
     def get_many(
@@ -507,23 +472,9 @@ class PHTree:
         return batch_mod.query_many(self, boxes, use_masks)
 
     def _find_entry(self, key: Tuple[int, ...]) -> Optional[Entry]:
-        node = self._root
-        while node is not None:
-            slot = node.get_slot(node.address_of(key))
-            if slot is None:
-                return None
-            if isinstance(slot, Node):
-                if not slot.matches_prefix(key):
-                    return None
-                node = slot
-                continue
-            return slot if slot.key == key else None
-        return None
-
-    def _find_entry_counted(self, key: Tuple[int, ...]) -> Optional[Entry]:
-        """Instrumented twin of :meth:`_find_entry` (only runs with
-        observability enabled): same descent, plus point-descent
-        counters -- one node and one container probe per level."""
+        """The point descent of Section 3.5.  Counts one node and one
+        container probe per level, published only when observability
+        is enabled."""
         nodes = 0
         found: Optional[Entry] = None
         node = self._root
@@ -540,8 +491,9 @@ class PHTree:
             if slot.key == key:
                 found = slot
             break
-        _probes.point_nodes_visited.inc(nodes)
-        _probes.point_slots_scanned.inc(nodes)
+        if _rt.enabled:
+            _probes.point_nodes_visited.inc(nodes)
+            _probes.point_slots_scanned.inc(nodes)
         return found
 
     def remove(self, key: Sequence[int], default: Any = _MISSING) -> Any:
@@ -676,16 +628,14 @@ class PHTree:
         if _rt.enabled:
             _probes.ops_query.inc()
             if use_masks:
-                it = range_iter(
-                    self._root, box_min, box_max, self._spec
-                )
+                it = range_iter(self._root, box_min, box_max)
             else:
                 it = naive_range_iter(self._root, box_min, box_max)
             return _heat.timed_iter(
                 it, box_min, self._width, "query"
             )
         if use_masks:
-            return range_iter(self._root, box_min, box_max, self._spec)
+            return range_iter(self._root, box_min, box_max)
         return naive_range_iter(self._root, box_min, box_max)
 
     def query_all(
@@ -714,16 +664,12 @@ class PHTree:
         if _rt.enabled:
             _probes.ops_query_approx.inc()
             return _heat.timed_iter(
-                approx_range_iter(
-                    self._root, box_min, box_max, slack_bits, self._spec
-                ),
+                approx_range_iter(self._root, box_min, box_max, slack_bits),
                 box_min,
                 self._width,
                 "query",
             )
-        return approx_range_iter(
-            self._root, box_min, box_max, slack_bits, self._spec
-        )
+        return approx_range_iter(self._root, box_min, box_max, slack_bits)
 
     def _morton_key(self):
         """The kNN z-order tiebreak: the tree's specialized unrolled

@@ -44,17 +44,14 @@ def range_iter(
     root: Optional[Node],
     box_min: Sequence[int],
     box_max: Sequence[int],
-    spec: Any = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Any]]:
     """Yield all ``(key, value)`` pairs within the inclusive box.
 
     Results are produced in z-order (ascending interleaved bit-string
     order), which is the node traversal order; output is bit-identical
-    to the reference engines (same entries, same order).  ``spec``
-    optionally selects the tree's per-(k, width) specialized kernel
-    (same results, same order -- see :mod:`repro.core.specialize`).
+    to the reference engines (same entries, same order).
     """
-    return range_scan(root, box_min, box_max, 0, spec)
+    return range_scan(root, box_min, box_max)
 
 
 def approx_range_iter(
@@ -62,7 +59,6 @@ def approx_range_iter(
     box_min: Sequence[int],
     box_max: Sequence[int],
     slack_bits: int,
-    spec: Any = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Any]]:
     """Approximate range query (reference [17]; paper Section 2 calls it
     'a desirable future extension').
@@ -76,7 +72,7 @@ def approx_range_iter(
     """
     if slack_bits < 0:
         raise ValueError(f"slack_bits must be >= 0, got {slack_bits}")
-    return range_scan(root, box_min, box_max, slack_bits, spec)
+    return range_scan(root, box_min, box_max, slack_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,37 +13,36 @@ unrolled into straight-line code, the byte lookup tables of
 :mod:`repro.encoding.lut` are bound as locals/globals of the generated
 code, and all constants (``full = 2**k - 1``, byte shifts of the spread
 and compact plans, the root ``post_len``) are baked in as literals.  The
-generated functions are exact drop-in twins of the generic engines:
+generated functions are exact drop-in twins of the generic arena
+engines:
 
-- :attr:`Specialization.find_entry` / :attr:`Specialization.put` mirror
-  the point descent of :class:`~repro.core.phtree.PHTree` (the generic
-  methods remain as the instrumented and fallback paths),
-- :attr:`Specialization.range_scan_plain` /
-  :attr:`Specialization.range_scan_instrumented` mirror the flat
-  traversal loop of :mod:`repro.core.kernel` line for line -- same
-  stack discipline, same mode machine, same probe counters -- with the
-  per-dimension mask fusion unrolled,
-- :attr:`Specialization.get_many_plain` /
-  :attr:`Specialization.get_many_instrumented` mirror the merge-join of
-  :mod:`repro.core.batch`,
-- :attr:`Specialization.interleave` / :attr:`Specialization.deinterleave`
-  / :attr:`Specialization.zkey` are the LUT-driven Morton kernels (the
-  kNN tiebreak and batch sort keys),
+- :attr:`Specialization.check_key` is the fused key validation,
+- :attr:`Specialization.hc_address` / :attr:`Specialization.interleave`
+  / :attr:`Specialization.deinterleave` / :attr:`Specialization.zkey`
+  are the LUT-driven Morton kernels (the kNN tiebreak and the bulk-load
+  and freeze sort keys, used by both layouts),
 - :attr:`Specialization.arena_find` / :attr:`Specialization.arena_put` /
   :attr:`Specialization.arena_remove` are the blind-PATRICIA point
   kernels over the :mod:`repro.core.arena` slab layout,
 - :attr:`Specialization.arena_range_scan_plain` (+ instrumented twin) /
   :attr:`Specialization.arena_get_many_plain` (+ twin) /
   :attr:`Specialization.arena_knn` are the slab *scan* kernels: the
-  same frame machines as the object twins, but each visited node's
-  slot window is hoisted into locals with one ``array`` slice per node
-  (a single C-loop conversion) instead of boxing a fresh PyLong per
-  ``words[i]`` read -- the trick that closes the arena scan gap.
+  same frame machines as the generic arena engines, but each visited
+  node's slot window is hoisted into locals with one ``array`` slice
+  per node (a single C-loop conversion) instead of boxing a fresh
+  PyLong per ``words[i]`` read -- the trick that closes the arena scan
+  gap.
+
+The object layout (``layout="object"``, and the automatic fallback for
+width > 64 or dims > 63) has no generated kernels.  It runs one
+unspecialized engine per operation (:class:`~repro.core.phtree.PHTree`,
+:mod:`repro.core.kernel`, :mod:`repro.core.batch`) and takes only the
+Morton helpers from here.
 
 Bit-identical outputs are enforced by the property tests in
 ``tests/core/test_specialize.py`` and ``tests/obs/test_spec_parity.py``
 (results, result *order*, and instrumented probe counts all pinned
-against the generic engines).
+against the generic arena engines).
 
 Specializations are cached in a bounded LRU registry keyed by
 ``(k, width)`` (:func:`get_spec`), so long-lived servers handling many
@@ -62,7 +61,6 @@ from struct import Struct
 from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
-from repro.core.node import Entry, Node
 from repro.encoding.lut import compact_plan, spread_plan, spread_table
 from repro.obs import probes as _probes
 
@@ -332,121 +330,6 @@ def _emit_deinterleave_body(k: int, width: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_find_entry(k: int) -> str:
-    return f"""\
-def find_entry(root, key):
-    {_unpack('v', 'key', k)}
-    node = root
-    node_cls = Node
-    while True:
-        post = node.post_len
-        a = {_addr_expr(k, 'post')}
-        cont = node.container
-        if cont.is_hc:
-            slot = cont._slots[a]
-            if slot is None:
-                return None
-        else:
-            addrs = cont._addresses
-            pos = bisect_left(addrs, a)
-            if pos >= len(addrs) or addrs[pos] != a:
-                return None
-            slot = cont._slots[pos]
-        if slot.__class__ is node_cls:
-            shift = slot.post_len + 1
-            {_unpack('p', 'slot.prefix', k)}
-            if {_mismatch_expr(k, 'shift')}:
-                return None
-            node = slot
-            continue
-        return slot if slot.key == key else None
-"""
-
-
-def _emit_put(k: int, width: int) -> str:
-    root_post = width - 1
-    zeros = ", ".join("0" for _ in range(k))
-    if k == 1:
-        zeros += ","
-    return f"""\
-def put(tree, key, value):
-    {_unpack('v', 'key', k)}
-    node = tree._root
-    dims = {k}
-    hc_mode = tree._hc_mode
-    hyst = tree._hysteresis
-    if node is None:
-        node = Node({root_post}, 0, ({zeros}))
-        node.put_slot(
-            {_addr_expr(k, str(root_post))},
-            Entry(key, value), dims, hc_mode, hyst,
-        )
-        tree._root = node
-        tree._size = 1
-        return None
-    node_cls = Node
-    while True:
-        post = node.post_len
-        a = {_addr_expr(k, 'post')}
-        cont = node.container
-        if cont.is_hc:
-            slot = cont._slots[a]
-        else:
-            addrs = cont._addresses
-            pos = bisect_left(addrs, a)
-            slot = (
-                cont._slots[pos]
-                if pos < len(addrs) and addrs[pos] == a
-                else None
-            )
-        if slot is None:
-            node.put_slot(a, Entry(key, value), dims, hc_mode, hyst)
-            tree._size += 1
-            return None
-        if slot.__class__ is node_cls:
-            shift = slot.post_len + 1
-            {_unpack('p', 'slot.prefix', k)}
-            diff = {_mismatch_expr(k, 'shift')}
-            if not diff:
-                node = slot
-                continue
-            conflict = diff.bit_length() - 1 + shift
-            mid = tree._new_split_node(node, key, conflict)
-            slot.infix_len = conflict - 1 - slot.post_len
-            mid.put_slot(
-                hc_address(slot.prefix, conflict), slot,
-                dims, hc_mode, hyst,
-            )
-            mid.put_slot(
-                {_addr_expr(k, 'conflict')}, Entry(key, value),
-                dims, hc_mode, hyst,
-            )
-            node.put_slot(a, mid, dims, hc_mode, hyst)
-            tree._size += 1
-            return None
-        entry = slot
-        ekey = entry.key
-        if ekey == key:
-            previous = entry.value
-            entry.value = value
-            return previous
-        {_unpack('e', 'ekey', k)}
-        diff = {" | ".join(f"(v{d} ^ e{d})" for d in range(k))}
-        conflict = diff.bit_length() - 1
-        mid = tree._new_split_node(node, key, conflict)
-        mid.put_slot(
-            {_addr_expr(k, 'conflict', 'e')}, entry, dims, hc_mode, hyst,
-        )
-        mid.put_slot(
-            {_addr_expr(k, 'conflict')}, Entry(key, value),
-            dims, hc_mode, hyst,
-        )
-        node.put_slot(a, mid, dims, hc_mode, hyst)
-        tree._size += 1
-        return None
-"""
-
-
 def _emit_arena_find(k: int) -> str:
     """Unrolled point descent over the arena slab layout (see
     :mod:`repro.core.arena` for the header/record format; the numeric
@@ -623,307 +506,6 @@ def arena_put(tree, key, value):
         return tree._put_new_entry(off, pidx, h, pos, a, key, value)
     return tree._put_above(key, value, diff.bit_length() - 1 + shift)
 """
-
-
-def _emit_range_scan(k: int, instr: bool) -> str:
-    """The unrolled twin of ``repro.core.kernel._range_scan_plain`` (or,
-    with ``instr``, of ``_range_scan_instrumented``): same flat loop,
-    same frame tuples, same mode machine and counter placement -- only
-    the per-dimension zip-loops are replaced by straight-line code."""
-    name = "range_scan_instrumented" if instr else "range_scan_plain"
-    full = (1 << k) - 1
-    I = "    " if instr else ""  # noqa: E741 - template indent shim
-
-    lines = [f"def {name}(root, box_min, box_max, slack_bits=0):"]
-    emit = lines.append
-    emit("    if root is None:")
-    emit("        return")
-    emit(f"    {_unpack('bl', 'box_min', k)}")
-    emit(f"    {_unpack('bh', 'box_max', k)}")
-    emit(
-        "    if "
-        + " or ".join(f"bl{d} > bh{d}" for d in range(k))
-        + ":"
-    )
-    emit("        return")
-    emit("    node_cls = Node")
-    emit("    if slack_bits > 0:")
-    emit("        slack = (1 << slack_bits) - 1")
-    for d in range(k):
-        emit(f"        cl{d} = bl{d} - slack")
-        emit(f"        ch{d} = bh{d} + slack")
-    emit("    else:")
-    for d in range(k):
-        emit(f"        cl{d} = bl{d}")
-        emit(f"        ch{d} = bh{d}")
-    emit("")
-    emit("    post = root.post_len")
-    emit("    free = (1 << (post + 1)) - 1")
-    emit(f"    {_unpack('p', 'root.prefix', k)}")
-    emit(_classify_root(k, "    "))
-    emit("    cont = root.container")
-    emit("    slots = cont._slots")
-    emit("    limit = len(slots)")
-    emit("    if cont.is_hc:")
-    emit("        addrs = None")
-    emit(f"        if ml == 0 and mh == {full}:")
-    emit("            mode = 2")
-    emit("            cur = 0")
-    emit("        else:")
-    emit("            mode = 1")
-    emit("            cur = ml")
-    emit("    else:")
-    emit("        addrs = cont._addresses")
-    emit(f"        if ml == 0 and mh == {full}:")
-    emit("            mode = 2")
-    emit("            cur = 0")
-    emit("        else:")
-    emit("            mode = 1")
-    emit("            cur = bisect_left(addrs, ml)")
-    emit("")
-    if instr:
-        emit("    c_nodes = 1")
-        emit("    c_hc = 1 if cont.is_hc else 0")
-        emit("    c_frames = 0")
-        emit("    c_slots = 0")
-        emit("    c_flush = 0")
-        emit("    c_plain = 1 if mode == 2 else 0")
-        emit("    c_maskrej = 0")
-        emit("    c_noderej = 0")
-        emit("    c_postdrop = 0")
-        emit("    c_entries = 0")
-        emit("")
-    emit("    stack = []")
-    emit("    pop = stack.pop")
-    emit("    push = stack.append")
-    emit("")
-    if instr:
-        emit("    try:")
-
-    body = []
-    b = body.append
-    b("while True:")
-    b("    if mode == 1:")
-    b("        if addrs is None:")
-    b("            if cur < 0:")
-    b("                if not stack:")
-    b("                    return")
-    b("                slots, addrs, cur, ml, mh, mode, limit = pop()")
-    b("                continue")
-    b("            a = cur")
-    b("            cur = -1 if a >= mh else ((((a | ~mh) + 1) & mh) | ml)")
-    b("            slot = slots[a]")
-    if instr:
-        b("            c_slots += 1")
-    b("            if slot is None:")
-    b("                continue")
-    b("        else:")
-    b("            if cur >= limit:")
-    b("                if not stack:")
-    b("                    return")
-    b("                slots, addrs, cur, ml, mh, mode, limit = pop()")
-    b("                continue")
-    b("            a = addrs[cur]")
-    b("            if a > mh:")
-    b("                if not stack:")
-    b("                    return")
-    b("                slots, addrs, cur, ml, mh, mode, limit = pop()")
-    b("                continue")
-    b("            slot = slots[cur]")
-    b("            cur += 1")
-    if instr:
-        b("            c_slots += 1")
-    b("            if (a | ml) != a or (a & mh) != a:")
-    if instr:
-        b("                c_maskrej += 1")
-    b("                continue")
-    b("    else:")
-    b("        if cur >= limit:")
-    b("            if not stack:")
-    b("                return")
-    b("            slots, addrs, cur, ml, mh, mode, limit = pop()")
-    b("            continue")
-    b("        slot = slots[cur]")
-    b("        cur += 1")
-    if instr:
-        b("        c_slots += 1")
-    b("        if slot is None:")
-    b("            continue")
-    b("")
-    b("    if slot.__class__ is node_cls:")
-    b("        if mode == 0:")
-    b("            push((slots, addrs, cur, ml, mh, mode, limit))")
-    b("            cont = slot.container")
-    b("            slots = cont._slots")
-    b("            addrs = None")
-    b("            cur = 0")
-    b("            limit = len(slots)")
-    if instr:
-        b("            c_frames += 1")
-        b("            c_nodes += 1")
-        b("            if cont.is_hc:")
-        b("                c_hc += 1")
-    b("            continue")
-    b("        cpost = slot.post_len")
-    b("        cfree = (1 << (cpost + 1)) - 1")
-    b(f"        {_unpack('p', 'slot.prefix', k)}")
-    b(_classify_child(k, "        ", instr))
-    b("        push((slots, addrs, cur, ml, mh, mode, limit))")
-    b("        cont = slot.container")
-    b("        slots = cont._slots")
-    b("        limit = len(slots)")
-    if instr:
-        b("        c_frames += 1")
-        b("        c_nodes += 1")
-        b("        if cont.is_hc:")
-        b("            c_hc += 1")
-    b("        if inside or cpost < slack_bits:")
-    b("            addrs = None")
-    b("            mode = 0")
-    b("            cur = 0")
-    if instr:
-        b("            c_flush += 1")
-    b("        elif cont.is_hc:")
-    b("            addrs = None")
-    b(f"            if cml == 0 and cmh == {full}:")
-    b("                mode = 2")
-    b("                cur = 0")
-    if instr:
-        b("                c_plain += 1")
-    b("            else:")
-    b("                mode = 1")
-    b("                ml = cml")
-    b("                mh = cmh")
-    b("                cur = cml")
-    b("        else:")
-    b("            addrs = cont._addresses")
-    b(f"            if cml == 0 and cmh == {full}:")
-    b("                mode = 2")
-    b("                cur = 0")
-    if instr:
-        b("                c_plain += 1")
-    b("            else:")
-    b("                mode = 1")
-    b("                ml = cml")
-    b("                mh = cmh")
-    b("                cur = bisect_left(addrs, cml)")
-    b("        continue")
-    b("")
-    b("    if mode == 0:")
-    if instr:
-        b("        c_entries += 1")
-    b("        yield slot.key, slot.value")
-    b("    else:")
-    b("        key = slot.key")
-    b(f"        {_unpack('v', 'key', k)}")
-    b(
-        "        if "
-        + " or ".join(f"v{d} < cl{d} or v{d} > ch{d}" for d in range(k))
-        + ":"
-    )
-    if instr:
-        b("            c_postdrop += 1")
-        b("            pass")
-    else:
-        b("            pass")
-    b("        else:")
-    if instr:
-        b("            c_entries += 1")
-    b("            yield key, slot.value")
-
-    pad = "        " if instr else "    "
-    for chunk in body:
-        for line in chunk.split("\n"):
-            emit(pad + line if line else "")
-    if instr:
-        emit("    finally:")
-        emit("        _probes.record_range_scan(")
-        emit("            c_nodes, c_hc, c_frames, c_slots, c_flush,")
-        emit("            c_plain, c_maskrej, c_noderej, c_postdrop,")
-        emit("            c_entries,")
-        emit("        )")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_get_many(k: int, instr: bool) -> str:
-    """The unrolled twin of ``repro.core.batch._get_many_plain`` /
-    ``_get_many_instrumented`` (same merge-join walk, path frames carry
-    the prefix unpacked)."""
-    name = "get_many_instrumented" if instr else "get_many_plain"
-    frame = ", ".join(["node", "shift"] + [f"p{d}" for d in range(k)])
-    lines = [f"def {name}(tree, keys, default=None, presorted=False):"]
-    emit = lines.append
-    emit("    checked, codes = _prepare(tree, keys, not presorted)")
-    emit("    n = len(checked)")
-    if instr:
-        emit("    _probes.ops_get_many.inc()")
-        emit("    _probes.batch_keys_get.inc(n)")
-    emit("    results = [default] * n")
-    emit("    root = tree._root")
-    emit("    if root is None or n == 0:")
-    emit("        return results")
-    emit("    if presorted:")
-    emit("        order = range(n)")
-    emit("    else:")
-    emit("        order = sorted(range(n), key=codes.__getitem__)")
-    emit("")
-    if instr:
-        emit("    c_nodes = 1")
-        emit("    c_slots = 0")
-    emit("    node_cls = Node")
-    emit("    path = [(root, root.post_len + 1) + root.prefix]")
-    emit("    push = path.append")
-    emit("    pop = path.pop")
-    emit(f"    {frame} = path[0]")
-    emit("    for i in order:")
-    emit("        key = checked[i]")
-    emit(f"        {_unpack('v', 'key', k)}")
-    emit(f"        while {_mismatch_expr(k, 'shift')}:")
-    emit("            pop()")
-    emit(f"            {frame} = path[-1]")
-    emit("        while True:")
-    if instr:
-        emit("            c_slots += 1")
-    emit("            post = shift - 1")
-    emit(f"            a = {_addr_expr(k, 'post')}")
-    emit("            cont = node.container")
-    emit("            if cont.is_hc:")
-    emit("                slot = cont._slots[a]")
-    emit("            else:")
-    emit("                addrs = cont._addresses")
-    emit("                pos = bisect_left(addrs, a)")
-    emit("                slot = (")
-    emit("                    cont._slots[pos]")
-    emit("                    if pos < len(addrs) and addrs[pos] == a")
-    emit("                    else None")
-    emit("                )")
-    emit("            if slot is None:")
-    emit("                break")
-    emit("            if slot.__class__ is node_cls:")
-    emit("                cshift = slot.post_len + 1")
-    emit(f"                {_unpack('q', 'slot.prefix', k)}")
-    emit(
-        "                if "
-        + _mismatch_expr(k, "cshift", "v", "q")
-        + ":"
-    )
-    emit("                    break")
-    emit("                node = slot")
-    emit("                shift = cshift")
-    for d in range(k):
-        emit(f"                p{d} = q{d}")
-    emit(f"                push(({frame}))")
-    if instr:
-        emit("                c_nodes += 1")
-    emit("                continue")
-    emit("            if slot.key == key:")
-    emit("                results[i] = slot.value")
-    emit("            break")
-    if instr:
-        emit("    _probes.batch_nodes_visited.inc(c_nodes)")
-        emit("    _probes.batch_slots_scanned.inc(c_slots)")
-    emit("    return results")
-    return "\n".join(lines) + "\n"
 
 
 def _entry_tuple(k: int, e: str = "e") -> str:
@@ -1579,16 +1161,10 @@ class Specialization:
         "interleave",
         "deinterleave",
         "zkey",
-        "find_entry",
-        "put",
         "arena_find",
         "arena_put",
         "arena_remove",
         "arena_knn",
-        "range_scan_plain",
-        "range_scan_instrumented",
-        "get_many_plain",
-        "get_many_instrumented",
         "arena_range_scan_plain",
         "arena_range_scan_instrumented",
         "arena_get_many_plain",
@@ -1604,14 +1180,8 @@ class Specialization:
             [
                 _emit_check_key(k, width),
                 _emit_point_helpers(k, width),
-                _emit_find_entry(k),
-                _emit_put(k, width),
                 _emit_arena_find(k),
                 _emit_arena_put(k, width),
-                _emit_range_scan(k, instr=False),
-                _emit_range_scan(k, instr=True),
-                _emit_get_many(k, instr=False),
-                _emit_get_many(k, instr=True),
                 _emit_arena_range_scan(k, instr=False),
                 _emit_arena_range_scan(k, instr=True),
                 _emit_arena_get_many(k, instr=False),
@@ -1622,8 +1192,6 @@ class Specialization:
         )
         self.source = source
         namespace: dict = {
-            "Node": Node,
-            "Entry": Entry,
             "bisect_left": bisect_left,
             "_probes": _probes,
             "_st": spread_table(k),
@@ -1648,16 +1216,10 @@ class Specialization:
         self.interleave = namespace["interleave"]
         self.deinterleave = namespace["deinterleave"]
         self.zkey = namespace["zkey"]
-        self.find_entry = namespace["find_entry"]
-        self.put = namespace["put"]
         self.arena_find = namespace["arena_find"]
         self.arena_put = namespace["arena_put"]
         self.arena_remove = namespace["arena_remove"]
         self.arena_knn = namespace["arena_knn"]
-        self.range_scan_plain = namespace["range_scan_plain"]
-        self.range_scan_instrumented = namespace["range_scan_instrumented"]
-        self.get_many_plain = namespace["get_many_plain"]
-        self.get_many_instrumented = namespace["get_many_instrumented"]
         self.arena_range_scan_plain = namespace["arena_range_scan_plain"]
         self.arena_range_scan_instrumented = namespace[
             "arena_range_scan_instrumented"

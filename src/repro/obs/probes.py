@@ -207,12 +207,11 @@ freeze_arena_fast = registry.counter(
 learned_lookups = registry.counter(
     "repro_learned_lookups_total",
     "Frozen-tree reads that consulted the learned z-address model, by "
-    "operation (point / window seek / knn seed).",
+    "operation (point / window seek).",
     labelnames=("op",),
 )
 learned_lookups_point = learned_lookups.labels("point")
 learned_lookups_window = learned_lookups.labels("window")
-learned_lookups_knn = learned_lookups.labels("knn")
 learned_fallbacks = registry.counter(
     "repro_learned_fallbacks_total",
     "Learned-model probes that exceeded the error-bound contract (dead "

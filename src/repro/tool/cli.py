@@ -427,6 +427,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     committed segments plus the WAL tail."""
     from repro.core.serialize import U64ValueCodec
     from repro.store import DurablePHTree, StoreError
+    from repro.store.manifest import load_manifest
 
     dims = None
     columns: List[str] = []
@@ -450,12 +451,15 @@ def cmd_store(args: argparse.Namespace) -> int:
         )
         return 2
     try:
+        # A store this verb creates maps points to CSV row numbers; an
+        # existing store keeps the value codec its manifest names.
+        creating = load_manifest(args.dir) is None
         store = DurablePHTree.open(
             args.dir,
             dims=dims,
             width=64,
             shards=args.shards,
-            value_codec=U64ValueCodec,
+            value_codec=U64ValueCodec if creating else None,
             learned=args.learned,
         )
     except StoreError as exc:

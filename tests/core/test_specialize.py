@@ -3,7 +3,7 @@
 Two concerns:
 
 - correctness: every generated kernel is pinned against the generic
-  engine or definitional oracle it replaces -- identical results,
+  arena engine or definitional oracle it replaces -- identical results,
   identical iteration order, identical tree shapes;
 - the bounded LRU registry: many tree shapes keep the cache at its cap,
   eviction is least-recently-used, and evicted specializations keep
@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import specialize
-from repro.core.batch import _get_many_plain
+from repro.core.batch import arena_get_many
 from repro.core.bulk import bulk_load
-from repro.core.kernel import _range_scan_plain
+from repro.core.kernel import _arena_range_scan_generic, range_scan
 from repro.core.masks import address_fits, address_successor
 from repro.core.node import hypercube_address
 from repro.core.phtree import PHTree
@@ -134,8 +134,8 @@ class TestGeneratedEngines:
         tree.check_invariants()
         zero = (0,) * k
         top = ((1 << width) - 1,) * k
-        assert list(_range_scan_plain(tree.root, zero, top)) == list(
-            _range_scan_plain(generic.root, zero, top)
+        assert list(range_scan(tree.root, zero, top)) == list(
+            range_scan(generic.root, zero, top)
         )
         # Reads agree across engines, hits and misses alike.
         rng = random.Random(99)
@@ -158,7 +158,9 @@ class TestGeneratedEngines:
 
     @pytest.mark.parametrize("k,width", [(1, 8), (3, 20), (5, 33)])
     def test_range_scan_parity(self, k, width):
-        tree, _ = _random_tree(k, width, 400, seed=k + width)
+        tree, _ = _random_tree(
+            k, width, 400, seed=k + width, layout="arena"
+        )
         spec = tree.specialization
         rng = random.Random(17)
         for _ in range(40):
@@ -167,17 +169,20 @@ class TestGeneratedEngines:
                 min((1 << width) - 1, v + rng.randrange(1 << width))
                 for v in lo
             )
-            expected = list(_range_scan_plain(tree.root, lo, hi))
+            expected = list(_arena_range_scan_generic(tree, lo, hi))
             assert (
-                list(spec.range_scan_plain(tree.root, lo, hi)) == expected
+                list(spec.arena_range_scan_plain(tree, lo, hi)) == expected
             )
             for slack in (1, 4):
                 assert list(
-                    spec.range_scan_plain(tree.root, lo, hi, slack)
-                ) == list(_range_scan_plain(tree.root, lo, hi, slack))
+                    spec.arena_range_scan_plain(tree, lo, hi, slack)
+                ) == list(_arena_range_scan_generic(tree, lo, hi, slack))
 
     def test_get_many_parity(self):
-        tree, keys = _random_tree(3, 20, 500, seed=23)
+        tree, keys = _random_tree(3, 20, 500, seed=23, layout="arena")
+        generic, _ = _random_tree(
+            3, 20, 500, seed=23, layout="arena", specialize=False
+        )
         rng = random.Random(29)
         batch = list(keys) + [
             tuple(rng.randrange(1 << 20) for _ in range(3))
@@ -185,12 +190,12 @@ class TestGeneratedEngines:
         ]
         rng.shuffle(batch)
         spec = tree.specialization
-        assert spec.get_many_plain(tree, batch) == _get_many_plain(
-            tree, batch
+        assert spec.arena_get_many_plain(tree, batch) == arena_get_many(
+            generic, batch
         )
-        assert spec.get_many_plain(
+        assert spec.arena_get_many_plain(
             tree, batch, presorted=True
-        ) == _get_many_plain(tree, batch, presorted=True)
+        ) == arena_get_many(generic, batch, presorted=True)
 
     def test_knn_order_matches_generic(self):
         tree, keys = _random_tree(3, 16, 300, seed=31)
@@ -212,8 +217,8 @@ class TestGeneratedEngines:
             grown.put(key, value)
         loaded.check_invariants()
         zero, top = (0,) * 3, ((1 << 20) - 1,) * 3
-        assert list(_range_scan_plain(loaded.root, zero, top)) == list(
-            _range_scan_plain(grown.root, zero, top)
+        assert list(range_scan(loaded.root, zero, top)) == list(
+            range_scan(grown.root, zero, top)
         )
 
     def test_non_uniform_widths_still_specialize(self):

@@ -1,10 +1,11 @@
 """Zero-cost-off pin: disabled instrumentation must stay under 5%.
 
-The hot engines (``get_many``'s merge-join, the range-scan kernel)
-dispatch once per *call* to an uninstrumented twin when observability is
-off, so the disabled cost is a single module-attribute truth test.
-These tests time the public dispatching entry points against the plain
-twins directly and pin the ratio.
+The arena layout's generated hot kernels (``get_many``'s merge-join,
+the range-scan kernel) dispatch once per *call* to an uninstrumented
+twin when observability is off, so the disabled cost is a single
+module-attribute truth test.  These tests time the public entry points
+of a specialized arena tree against the generated plain twins directly
+and pin the ratio.
 
 Timing on shared CI hardware is noisy, so each comparison takes the
 best of several runs and retries a few times before failing; a real
@@ -18,8 +19,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.core import batch as batch_mod
-from repro.core.kernel import _range_scan_plain
 from repro.core.phtree import PHTree
 
 LIMIT = 1.05
@@ -34,10 +33,10 @@ DOMAIN = (1 << WIDTH) - 1
 @pytest.fixture(scope="module")
 def workload():
     rng = random.Random(61)
-    # These pins time the object engine's per-call twin dispatch against
-    # its own plain kernels, so the layout is fixed regardless of the
-    # session default.
-    tree = PHTree(dims=DIMS, width=WIDTH, layout="object")
+    # These pins time the arena engine's per-call twin dispatch against
+    # its generated plain kernels, so the layout is fixed regardless of
+    # the session default.
+    tree = PHTree(dims=DIMS, width=WIDTH, layout="arena")
     keys = list(
         {
             tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))
@@ -83,15 +82,16 @@ def _assert_overhead(dispatching, plain):
 
 def test_get_many_disabled_overhead_under_5_percent(workload):
     tree, keys, _boxes = workload
+    spec = tree.specialization
     _assert_overhead(
         lambda: tree.get_many(keys),
-        lambda: batch_mod._get_many_plain(tree, keys),
+        lambda: spec.arena_get_many_plain(tree, keys),
     )
 
 
 def test_query_disabled_overhead_under_5_percent(workload):
     tree, _keys, boxes = workload
-    root = tree.root
+    spec = tree.specialization
 
     def dispatching():
         total = 0
@@ -103,7 +103,7 @@ def test_query_disabled_overhead_under_5_percent(workload):
     def plain():
         total = 0
         for lo, hi in boxes:
-            for _ in _range_scan_plain(root, lo, hi, 0):
+            for _ in spec.arena_range_scan_plain(tree, lo, hi, 0):
                 total += 1
         return total
 

@@ -1,17 +1,17 @@
-"""Instrumentation parity over the specialized kernels.
+"""Instrumentation parity over the generated arena kernels.
 
 The per-(k, width) kernels of :mod:`repro.core.specialize` carry their
 own instrumented twins, generated from the same template as the plain
-ones.  These tests pin the whole contract:
+ones.  These tests pin the whole contract against the generic arena
+engines (``specialize=False``) they are twins of:
 
-- with observability on, the specialized engines return identical
-  results AND publish identical probe counts to the generic
-  instrumented engines (counter-for-counter),
-- point ops on a specialized tree fall back to the generic instrumented
-  descent when observability is on, so per-op counters are identical to
-  a generic tree's,
-- with observability off, the public dispatching entry points stay
-  within the 5% overhead pin over the specialized plain twins.
+- with observability on, the generated kernels return identical
+  results AND publish identical probe counts to the generic arena
+  engines (counter-for-counter),
+- point ops on a specialized arena tree publish the same per-op
+  counters as a generic arena tree's,
+- with observability off, the dispatching entry points stay within the
+  5% overhead pin over the generated plain twins.
 """
 
 import random
@@ -34,27 +34,34 @@ ATTEMPTS = 6
 REPEATS = 7
 
 
+def _arena_tree(keys, specialize=True):
+    tree = PHTree(
+        dims=DIMS, width=WIDTH, layout="arena", specialize=specialize
+    )
+    for key in keys:
+        tree.put(key, None)
+    return tree
+
+
 @pytest.fixture(scope="module")
 def workload():
     rng = random.Random(67)
-    # Spec-twin parity and its overhead pins exercise the object
-    # engine's generated kernels; fix the layout regardless of the
-    # session default.
-    tree = PHTree(dims=DIMS, width=WIDTH, layout="object")
+    # Only the arena layout has generated kernels; fix it regardless of
+    # the session default.
     keys = list(
         {
             tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))
             for _ in range(4000)
         }
     )
-    for key in keys:
-        tree.put(key, None)
+    tree = _arena_tree(keys)
+    generic = _arena_tree(keys, specialize=False)
     boxes = []
     for _ in range(30):
         lo = tuple(rng.randrange(1 << WIDTH) for _ in range(DIMS))
         hi = tuple(min(v + (1 << (WIDTH - 2)), DOMAIN) for v in lo)
         boxes.append((lo, hi))
-    return tree, keys, boxes
+    return tree, generic, keys, boxes
 
 
 def _counts():
@@ -72,40 +79,40 @@ def _counts():
 
 class TestInstrumentedParity:
     def test_range_scan_counts_identical(self, workload, obs_enabled):
-        tree, _keys, boxes = workload
+        tree, _generic, _keys, boxes = workload
         spec = tree.specialization
         assert spec is not None
         for lo, hi in boxes:
             obs.reset()
             expected = list(
-                kernel_mod._range_scan_instrumented(tree.root, lo, hi)
+                kernel_mod._arena_range_scan_generic(tree, lo, hi)
             )
             expected_counts = _counts()
             obs.reset()
-            got = list(spec.range_scan_instrumented(tree.root, lo, hi))
+            got = list(spec.arena_range_scan_instrumented(tree, lo, hi))
             assert got == expected
             assert _counts() == expected_counts
 
     def test_range_scan_approx_counts_identical(
         self, workload, obs_enabled
     ):
-        tree, _keys, boxes = workload
+        tree, _generic, _keys, boxes = workload
         spec = tree.specialization
         for lo, hi in boxes[:10]:
             obs.reset()
             expected = list(
-                kernel_mod._range_scan_instrumented(tree.root, lo, hi, 3)
+                kernel_mod._arena_range_scan_generic(tree, lo, hi, 3)
             )
             expected_counts = _counts()
             obs.reset()
             got = list(
-                spec.range_scan_instrumented(tree.root, lo, hi, 3)
+                spec.arena_range_scan_instrumented(tree, lo, hi, 3)
             )
             assert got == expected
             assert _counts() == expected_counts
 
     def test_get_many_counts_identical(self, workload, obs_enabled):
-        tree, keys, _boxes = workload
+        tree, generic, keys, _boxes = workload
         spec = tree.specialization
         rng = random.Random(71)
         batch = keys[:1000] + [
@@ -114,12 +121,12 @@ class TestInstrumentedParity:
         ]
         for presorted in (False, True):
             obs.reset()
-            expected = batch_mod._get_many_instrumented(
-                tree, batch, presorted=presorted
+            expected = batch_mod.arena_get_many(
+                generic, batch, presorted=presorted
             )
             expected_counts = _counts()
             obs.reset()
-            got = spec.get_many_instrumented(
+            got = spec.arena_get_many_instrumented(
                 tree, batch, presorted=presorted
             )
             assert got == expected
@@ -130,7 +137,7 @@ class TestInstrumentedParity:
     ):
         # The public entry points must publish probes on a specialized
         # tree exactly like before.
-        tree, keys, boxes = workload
+        tree, _generic, keys, boxes = workload
         obs.reset()
         tree.get_many(keys[:100])
         assert probes.ops_get_many.value == 1
@@ -149,16 +156,12 @@ class TestInstrumentedParity:
             }
         )
         obs.reset()
-        spec_tree = PHTree(dims=DIMS, width=WIDTH)
-        for key in keys:
-            spec_tree.put(key, None)
+        spec_tree = _arena_tree(keys)
         for key in keys:
             spec_tree.get(key)
         spec_counts = _counts()
         obs.reset()
-        generic_tree = PHTree(dims=DIMS, width=WIDTH, specialize=False)
-        for key in keys:
-            generic_tree.put(key, None)
+        generic_tree = _arena_tree(keys, specialize=False)
         for key in keys:
             generic_tree.get(key)
         assert _counts() == spec_counts
@@ -181,29 +184,28 @@ class TestDisabledOverheadPin:
         )
 
     def test_get_many_overhead_over_spec_twin(self, workload):
-        tree, keys, _boxes = workload
+        tree, _generic, keys, _boxes = workload
         spec = tree.specialization
         self._assert_overhead(
-            lambda: tree.get_many(keys),
-            lambda: spec.get_many_plain(tree, keys),
+            lambda: batch_mod.arena_get_many(tree, keys),
+            lambda: spec.arena_get_many_plain(tree, keys),
         )
 
     def test_query_overhead_over_spec_twin(self, workload):
-        tree, _keys, boxes = workload
+        tree, _generic, _keys, boxes = workload
         spec = tree.specialization
-        root = tree.root
 
         def dispatching():
             total = 0
             for lo, hi in boxes:
-                for _ in tree.query(lo, hi):
+                for _ in kernel_mod.arena_range_scan(tree, lo, hi):
                     total += 1
             return total
 
         def plain():
             total = 0
             for lo, hi in boxes:
-                for _ in spec.range_scan_plain(root, lo, hi, 0):
+                for _ in spec.arena_range_scan_plain(tree, lo, hi, 0):
                     total += 1
             return total
 

@@ -107,3 +107,20 @@ def test_store_survives_reopen_with_wal_tail(tmp_path, csv_file, capsys):
     assert rc == 0
     assert "entries:        201" in captured.out
     assert "replayed 1 WAL record(s)" in captured.out
+
+
+def test_store_opens_a_valueless_library_store(tmp_path, capsys):
+    """A store created through the library with the default
+    NoneValueCodec opens under the verb: the codec comes from the
+    manifest, not from the verb's row-number codec."""
+    from repro.store import DurablePHTree
+
+    db = str(tmp_path / "db")
+    with DurablePHTree.open(db, dims=2) as store:
+        for i in range(50):
+            store.put((i, 3 * i))
+
+    rc = main(["store", db, "--stats"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "entries:        50" in captured.out
